@@ -75,16 +75,18 @@ object Imputation {
   def noiseSeed(cfg: MiceConfig, iter: Int, target: String): Long =
     cfg.seed + 1_000_003L * iter + 17L * target.hashCode
 
-  /** `target := pred where mask` as a new, lineage-truncated DataFrame.
+  /** `target := pred where mask` as a new, lineage-truncated DataFrame with
+    * `df`'s columns; `pred` may read the columns `enrich` adds.
     *
     * `localCheckpoint(eager)` materializes the updated column and cuts the
     * logical plan — repeated `withColumn` chains across MICE rounds would
     * otherwise replay every previous imputation on each aggregate.
     */
-  def updateWhereMasked(df: DataFrame, schema: MiceSchema, target: String, pred: Column): DataFrame = {
+  def updateWhereMasked(df: DataFrame, schema: MiceSchema, target: String, pred: Column,
+                        enrich: DataFrame => DataFrame = identity): DataFrame = {
     val dt = df.schema(target).dataType
-    df.withColumn(target, when(col(schema.maskCol(target)), pred.cast(dt)).otherwise(col(target)))
-      .localCheckpoint(true)
+    enrich(df).withColumn(target, when(col(schema.maskCol(target)), pred.cast(dt)).otherwise(col(target)))
+      .select(df.columns.toSeq.map(col): _*).localCheckpoint(true)
   }
 
   /** Number-of-missing-targets column (partitioning criterion of §4). */

@@ -1,6 +1,6 @@
 package repro.ring
 
-import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
 
@@ -26,19 +26,29 @@ final case class CofactorSchema(cont: Seq[String], cat: Seq[String]) {
   def ++(o: CofactorSchema): CofactorSchema = CofactorSchema(cont ++ o.cont, cat ++ o.cat)
 }
 
-/** The paper's `SUM_TRIPLE` aggregate as a Spark typed [[Aggregator]]: rows are
-  * pre-projected to `(Array[Double] continuous, Array[Int] categorical)` and
-  * reduced with the fused lift-and-add of [[Triple]]. Buffers are
-  * Java-serialized — triples are tiny relative to the data.
+/** The paper's `SUM_TRIPLE` aggregate as a Spark typed [[Aggregator]]:
+  * `fold` adds one input row to the buffer, and buffers merge by ring +.
+  * Buffers and the result are Java-serialized — triples are tiny relative to
+  * the data; as a column the result is a binary that [[Triple.fromBytes]]
+  * decodes.
   */
-final class TripleAggregator(k: Int, l: Int)
-    extends Aggregator[(Array[Double], Array[Int]), Triple, Triple] {
+final class TripleAggregator[IN](k: Int, l: Int)(fold: (Triple, IN) => Triple)
+    extends Aggregator[IN, Triple, Triple] {
   override def zero: Triple = Triple.zero(k, l)
-  override def reduce(b: Triple, a: (Array[Double], Array[Int])): Triple = b.addRow(a._1, a._2)
+  override def reduce(b: Triple, a: IN): Triple = fold(b, a)
   override def merge(b1: Triple, b2: Triple): Triple = b1.plus(b2)
   override def finish(r: Triple): Triple = r
   override def bufferEncoder: Encoder[Triple] = Encoders.javaSerialization[Triple]
   override def outputEncoder: Encoder[Triple] = Encoders.javaSerialization[Triple]
+}
+
+object TripleAggregator {
+
+  /** Over `(continuous, categorical)` rows ([[Cofactor.inputCols]]), folded
+    * with the fused lift-and-add [[Triple.addRow]].
+    */
+  def rows(k: Int, l: Int): TripleAggregator[(Array[Double], Array[Int])] =
+    new TripleAggregator[(Array[Double], Array[Int])](k, l)((b, a) => b.addRow(a._1, a._2))
 }
 
 /** Computation of cofactor triples over DataFrames. */
@@ -58,18 +68,14 @@ object Cofactor {
     (c, d)
   }
 
-  private def toPairs(df: DataFrame, schema: CofactorSchema): Dataset[(Array[Double], Array[Int])] = {
-    val (c, d) = inputCols(schema)
-    implicit val enc: Encoder[(Array[Double], Array[Int])] =
-      Encoders.tuple(ExprEncoders.doubleArray, ExprEncoders.intArray)
-    df.select(c.as("c"), d.as("d")).as[(Array[Double], Array[Int])]
-  }
+  private val pairEncoder: Encoder[(Array[Double], Array[Int])] =
+    Encoders.tuple(ExprEncoders.doubleArray, ExprEncoders.intArray)
 
   /** One-pass cofactor triple of `df` under `schema` (SELECT SUM_TRIPLE(…) FROM df). */
   def triple(df: DataFrame, schema: CofactorSchema): Triple = {
-    val ds = toPairs(df, schema)
-    val agg = new TripleAggregator(schema.k, schema.l)
-    val rows = ds.select(agg.toColumn).collect()
+    val (c, d) = inputCols(schema)
+    val rows = df.select(c.as("c"), d.as("d")).as(pairEncoder)
+      .select(TripleAggregator.rows(schema.k, schema.l).toColumn).collect()
     if (rows.isEmpty) Triple.zero(schema.k, schema.l) else rows.head
   }
 
@@ -78,19 +84,8 @@ object Cofactor {
     * Java-serialized [[Triple]] ([[Triple.fromBytes]]); used for grouped
     * partial triples in factorized evaluation and callable from SQL.
     */
-  def registerUdaf(spark: SparkSession, name: String, k: Int, l: Int): Unit = {
-    implicit val enc: Encoder[(Array[Double], Array[Int])] =
-      Encoders.tuple(ExprEncoders.doubleArray, ExprEncoders.intArray)
-    val agg = new Aggregator[(Array[Double], Array[Int]), Triple, Array[Byte]] {
-      override def zero: Triple = Triple.zero(k, l)
-      override def reduce(b: Triple, a: (Array[Double], Array[Int])): Triple = b.addRow(a._1, a._2)
-      override def merge(b1: Triple, b2: Triple): Triple = b1.plus(b2)
-      override def finish(r: Triple): Array[Byte] = Triple.toBytes(r)
-      override def bufferEncoder: Encoder[Triple] = Encoders.javaSerialization[Triple]
-      override def outputEncoder: Encoder[Array[Byte]] = Encoders.BINARY
-    }
-    spark.udf.register(name, org.apache.spark.sql.functions.udaf(agg, enc))
-  }
+  def registerUdaf(spark: SparkSession, name: String, k: Int, l: Int): Unit =
+    spark.udf.register(name, udaf(TripleAggregator.rows(k, l), pairEncoder))
 
   /** Grouped partial triples: `SELECT keys, SUM_TRIPLE(attrs) FROM df GROUP BY keys`.
     * Returns a DataFrame with the key columns plus a binary `__triple` column.

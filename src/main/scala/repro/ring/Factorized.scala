@@ -2,7 +2,6 @@ package repro.ring
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
-import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
 
 /** A dimension table in a star/snowflake schema, joined to the fact table N:1
@@ -110,15 +109,8 @@ object Factorized {
         if (nextIdx0.isEmpty) {
           // No grouping: one global typed aggregation (partial per partition,
           // no sort, no per-group buffer shuffling) — the flat fast path.
-          val agg = new Aggregator[(Array[Double], Array[Int], Array[Long]), Triple, Triple] {
-            override def zero: Triple = Triple.zero(k0, l0)
-            override def reduce(b: Triple, row: (Array[Double], Array[Int], Array[Long])): Triple =
-              b.plus(liftTimesStage0(row))
-            override def merge(b1: Triple, b2: Triple): Triple = b1.plus(b2)
-            override def finish(r: Triple): Triple = r
-            override def bufferEncoder: Encoder[Triple] = Encoders.javaSerialization[Triple]
-            override def outputEncoder: Encoder[Triple] = Encoders.javaSerialization[Triple]
-          }
+          val agg = new TripleAggregator[(Array[Double], Array[Int], Array[Long])](k0, l0)(
+            (b, row) => b.plus(liftTimesStage0(row)))
           ds.select(agg.toColumn).map(t => ("", t))
         } else {
           // Grouped: colocate rows by group key with one compact-row shuffle,

@@ -320,15 +320,7 @@ object Triple {
   private def copyScaledL(src: mutable.HashMap[Long, Double], dst: mutable.HashMap[Long, Double], w: Double): Unit =
     if (w != 0.0) for ((key, v) <- src) bumpL(dst, key, v * w)
 
-  /** Java-serialize a triple (for storing partial triples in DataFrame binary columns). */
-  def toBytes(t: Triple): Array[Byte] = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(t); oos.close()
-    bos.toByteArray
-  }
-
-  /** Inverse of [[toBytes]]. */
+  /** Decode a Java-serialized triple, e.g. a `sum_triple` result column. */
   def fromBytes(b: Array[Byte]): Triple = {
     val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(b))
     try ois.readObject().asInstanceOf[Triple] finally ois.close()

@@ -22,8 +22,6 @@ object Timing {
       r
     }
 
-    def secs(name: String): Double = acc.getOrElse(name, 0.0)
     def snapshot: Map[String, Double] = acc.toMap
-    def reset(): Unit = acc.clear()
   }
 }

@@ -121,19 +121,13 @@ class MiceSpec extends SparkSpec {
   test("Low matches Baseline with deterministic models (Algorithm 2 correctness)") {
     val base = MiceBaseline.impute(holey, schema, cfgDet())
     val low = MiceLow.impute(holey, schema, cfgDet())
-    val (fb, fl) = (fingerprint(base.imputed), fingerprint(low.imputed))
-    fb.zip(fl).foreach { case (a, b) =>
-      assert(math.abs(a - b) < 2e-2 * (1 + math.abs(a)), s"baseline=$fb low=$fl")
-    }
+    MiceSpec.assertSameCells(base.imputed, low.imputed, "x1", schema)
   }
 
   test("High matches Baseline with deterministic models (partitioning correctness)") {
     val base = MiceBaseline.impute(holey, schema, cfgDet())
     val high = MiceHigh.impute(holey, schema, cfgDet())
-    val (fb, fh) = (fingerprint(base.imputed), fingerprint(high.imputed))
-    fb.zip(fh).foreach { case (a, b) =>
-      assert(math.abs(a - b) < 2e-2 * (1 + math.abs(a)), s"baseline=$fb high=$fh")
-    }
+    MiceSpec.assertSameCells(base.imputed, high.imputed, "x1", schema)
   }
 
   test("MICE recovers correlated values far better than mean imputation") {
@@ -222,4 +216,28 @@ class MiceSpec extends SparkSpec {
   }
 
   private def round4(v: Double): Double = math.rint(v * 1e4) / 1e4
+}
+
+object MiceSpec {
+  import org.scalatest.Assertions._
+
+  /** Two imputations agree cell by cell on `schema.targets`, rows matched on
+    * `key` (unique, never a target): continuous targets within 1e-6 relative,
+    * categorical targets equal.
+    */
+  def assertSameCells(a: DataFrame, b: DataFrame, key: String, schema: MiceSchema): Unit = {
+    val ts = schema.targets
+    val joined = a.select(col(key) +: ts.map(col): _*)
+      .join(b.select(col(key) +: ts.map(t => col(t).as(s"${t}__b")): _*), key)
+    val n = a.count()
+    assert(joined.count() == n && b.count() == n, s"rows do not match one-to-one on $key")
+    for (t <- ts) {
+      val (x, y) = (col(t), col(s"${t}__b"))
+      val differs =
+        if (schema.isContinuous(t)) abs(x - y) > lit(1e-6) * greatest(abs(x), abs(y))
+        else x =!= y
+      val bad = joined.filter(x.isNull || y.isNull || differs).count()
+      assert(bad == 0, s"$t: $bad of $n cells differ")
+    }
+  }
 }
