@@ -6,14 +6,13 @@ import repro.mice.{MiceConfig, MiceLow, MiceSchema}
 
 /** Fig 5 — runtime of the Low implementation vs the number of incomplete
   * attributes (1…6) at 5% and 20% missing, with the per-phase breakdown:
-  * initial (global) cofactor, per-partition delta cofactors, training, and
-  * imputed-value updates.
+  * initial cofactor (complete rows plus building the blocks), training, and
+  * the fused update passes that rewrite a column and refresh the triples.
   */
 object AttrScalingExp {
 
   final case class Row(rate: Double, nAttrs: Int, initCofactorSecs: Double,
-                       deltaCofactorSecs: Double, trainSecs: Double, updateSecs: Double,
-                       roundSecs: Double)
+                       trainSecs: Double, updateSecs: Double, roundSecs: Double)
 
   def run(spark: SparkSession, rows: Long, rates: Seq[Double] = Seq(0.05, 0.20),
           maxAttrs: Int = 6): Seq[Row] = {
@@ -28,7 +27,6 @@ object AttrScalingExp {
       r.imputed.count()
       out += Row(rate, n,
         r.breakdown.getOrElse("init_cofactor", 0.0),
-        r.breakdown.getOrElse("delta_cofactor", 0.0),
         r.breakdown.getOrElse("train", 0.0),
         r.breakdown.getOrElse("update", 0.0),
         r.roundSecs.sum)
@@ -40,10 +38,10 @@ object AttrScalingExp {
   }
 
   def format(rows: Seq[Row]): String = {
-    val header = "| missing % | #incomplete attrs | init cofactor s | delta cofactor s | train s | update s | round s |"
-    val sep = "|---|---|---|---|---|---|---|"
+    val header = "| missing % | #incomplete attrs | init cofactor s | train s | update s | round s |"
+    val sep = "|---|---|---|---|---|---|"
     (header +: sep +: rows.map(r =>
-      f"| ${(r.rate * 100).round}%d | ${r.nAttrs}%d | ${r.initCofactorSecs}%.2f | ${r.deltaCofactorSecs}%.2f | ${r.trainSecs}%.3f | ${r.updateSecs}%.2f | ${r.roundSecs}%.2f |"))
+      f"| ${(r.rate * 100).round}%d | ${r.nAttrs}%d | ${r.initCofactorSecs}%.2f | ${r.trainSecs}%.3f | ${r.updateSecs}%.2f | ${r.roundSecs}%.2f |"))
       .mkString("\n")
   }
 }

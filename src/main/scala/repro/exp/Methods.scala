@@ -59,9 +59,13 @@ object Methods {
     "MIRACLE-lite" -> miracleLite(iterations),
   )
 
-  /** Free all persisted/checkpointed blocks between experiment cells. */
+  /** Free persisted blocks between experiment cells. Locally checkpointed
+    * RDDs are skipped: their blocks are the only copy of their data, so
+    * outputs still referenced read them; the context cleaner frees them once
+    * nothing does.
+    */
   def clearCaches(spark: SparkSession): Unit = {
-    spark.sparkContext.getPersistentRDDs.values.foreach(_.unpersist(blocking = false))
+    spark.sparkContext.getPersistentRDDs.values.filterNot(_.isCheckpointed).foreach(_.unpersist(blocking = false))
     spark.catalog.clearCache()
   }
 }

@@ -3,33 +3,37 @@ package repro.mice
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.ml.{LDA, LdaModel, LinearRegression, RegressionModel, Unpacked}
-import repro.ring.{CofactorSchema, Triple}
+import repro.ring.Triple
 
-/** A model trained for one incomplete attribute, able to emit its imputation
-  * column. Stochastic linear regression for continuous targets, LDA for
-  * categorical ones — the two §3 models that share the triple's aggregates.
+/** A model trained for one incomplete attribute, able to impute one row.
+  * Stochastic linear regression for continuous targets, LDA for categorical
+  * ones — the two §3 models that share the triple's aggregates.
   */
 sealed trait AttrModel {
   def target: String
 
-  /** Prediction column over the cofactor-schema columns of the dataset. */
-  def predictColumn(stochastic: Boolean, seed: Long): Column
+  /** Imputed value of one row given in cofactor-schema order (the target's
+    * own slot is ignored). `noise` is a standard normal draw that stochastic
+    * regression scales by σ (§3.1); classification ignores it.
+    */
+  def predict(cont: Array[Double], cat: Array[Int], noise: Double): Double
 }
 
 final case class ContAttrModel(model: RegressionModel) extends AttrModel {
   def target: String = model.target
-  def predictColumn(stochastic: Boolean, seed: Long): Column =
-    model.predictColumn(stochastic, seed)
+  def predict(cont: Array[Double], cat: Array[Int], noise: Double): Double =
+    model.predict(cont, cat) + noise * math.sqrt(model.sigma2)
 }
 
 final case class CatAttrModel(model: LdaModel) extends AttrModel {
   def target: String = model.target
-  def predictColumn(stochastic: Boolean, seed: Long): Column = model.predictColumn
+  def predict(cont: Array[Double], cat: Array[Int], noise: Double): Double =
+    model.predict(cont, cat).toDouble
 }
 
-/** Shared plumbing of all MICE implementations: mask bookkeeping, mean/mode
-  * initial imputation, model training off a triple, and checkpointed column
-  * updates (the Spark analogue of the paper's cheap column swap).
+/** Shared plumbing of the MICE implementations: mask bookkeeping, mean/mode
+  * initial imputation, model training off a triple, per-row noise, and
+  * checkpointed DataFrame column updates.
   */
 object Imputation {
 
@@ -75,23 +79,38 @@ object Imputation {
   def noiseSeed(cfg: MiceConfig, iter: Int, target: String): Long =
     cfg.seed + 1_000_003L * iter + 17L * target.hashCode
 
-  /** `target := pred where mask` as a new, lineage-truncated DataFrame with
-    * `df`'s columns; `pred` may read the columns `enrich` adds.
-    *
-    * `localCheckpoint(eager)` materializes the updated column and cuts the
-    * logical plan — repeated `withColumn` chains across MICE rounds would
-    * otherwise replay every previous imputation on each aggregate.
+  /** A standard normal draw fixed by `seed` and a row's content hash alone,
+    * so it does not depend on how the rows are partitioned (Box–Muller over
+    * two SplitMix64 outputs).
     */
-  def updateWhereMasked(df: DataFrame, schema: MiceSchema, target: String, pred: Column,
-                        enrich: DataFrame => DataFrame = identity): DataFrame = {
-    val dt = df.schema(target).dataType
-    enrich(df).withColumn(target, when(col(schema.maskCol(target)), pred.cast(dt)).otherwise(col(target)))
-      .select(df.columns.toSeq.map(col): _*).localCheckpoint(true)
+  def gaussian(seed: Long, rowHash: Long): Double = {
+    val a = mix64(mix64(seed) ^ rowHash)
+    val b = mix64(a)
+    val u1 = ((a >>> 11) + 1) / TwoPow53 // (0, 1]
+    val u2 = (b >>> 11) / TwoPow53
+    math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
   }
 
-  /** Number-of-missing-targets column (partitioning criterion of §4). */
-  def missCount(schema: MiceSchema): Column =
-    schema.targets.map(t => col(schema.maskCol(t)).cast("int")).reduce(_ + _)
+  private val TwoPow53 = math.pow(2, 53)
+
+  private def mix64(x: Long): Long = {
+    var z = x + 0x9e3779b97f4a7c15L
+    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
+    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+    z ^ (z >>> 31)
+  }
+
+  /** `target := pred where mask` as a new, lineage-truncated DataFrame.
+    *
+    * `localCheckpoint(eager)` materializes the updated column and cuts the
+    * logical plan — repeated `withColumn` chains across rounds would
+    * otherwise replay every previous imputation on each aggregate.
+    */
+  def updateWhereMasked(df: DataFrame, schema: MiceSchema, target: String, pred: Column): DataFrame = {
+    val dt = df.schema(target).dataType
+    df.withColumn(target, when(col(schema.maskCol(target)), pred.cast(dt)).otherwise(col(target)))
+      .localCheckpoint(true)
+  }
 
   /** Drop bookkeeping columns, restoring the user-facing schema. */
   def stripMasks(df: DataFrame, schema: MiceSchema): DataFrame =

@@ -1,14 +1,16 @@
 package repro.mice
 
-import scala.collection.mutable
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.ring.{Cofactor, DimSpec, Stage, Triple}
 import repro.util.Timing
 
 /** Outcome of a MICE run, with the timing split the paper reports in Fig 4–6:
   * one-off preprocessing vs per-round iteration cost, plus a named phase
-  * breakdown (Fig 5).
+  * breakdown (Fig 5): `dim_partials` (factorized only), `init_cofactor`,
+  * `train` and `update`.
   */
 final case class MiceResult(
     imputed: DataFrame,
@@ -17,29 +19,29 @@ final case class MiceResult(
     breakdown: Map[String, Double],
 )
 
-/** How [[MiceEngine]] splits the rows (§4). Partitions that cannot hold rows
-  * for the given number of targets are not created.
+/** Which rows [[MiceEngine]] rewrites and which triples it keeps (§4). The
+  * rewritten rows live in blocks; the complete rows of `ByMissing` and
+  * `ByObserved` stay in a DataFrame whose triple is computed once.
   */
 sealed trait Partitioning
 
 object Partitioning {
 
-  /** The whole table, rescanned for every target (Algorithm 1). */
+  /** Every row is rewritten, and each target trains on a fresh triple of the
+    * rows observing it (Algorithm 1).
+    */
   case object None extends Partitioning
 
-  /** By missing count (Algorithm 2): `p0` (none missing) is folded into the
-    * global cofactor C once; `p1(t)` (only `t` missing) is rewritten for `t`
-    * alone; `p2` (≥2 but not all missing, ≥3 targets) for every target;
-    * `pAll` (all missing, ≥2 targets) is never trained on. Per target,
-    * `C_train = C − ΔC` over the rows about to be re-imputed, then
-    * `C = C_train + ΔC_new`.
+  /** By missing count (Algorithm 2): the training triple is maintained by
+    * ring ±. Per target, `C_train = C − ΔC` over the rows missing it, then
+    * `C = C_train + ΔC_new` once they are rewritten; only the rows missing a
+    * target are aggregated.
     */
   case object ByMissing extends Partitioning
 
-  /** By observed count (the High variant): the triple of the complete rows is
-    * computed once; the rows with ≥1 but not all targets observed (≥2
-    * targets) are scanned with `!mask_t` for each target, so training scans
-    * shrink as the missing rate grows.
+  /** By observed count (the High variant): each target trains on the
+    * complete rows' triple plus a fresh triple of the incomplete rows
+    * observing it, so training scans shrink as the missing rate grows.
     */
   case object ByObserved extends Partitioning
 }
@@ -52,29 +54,50 @@ object Backend {
   /** `Cofactor.triple` over the table's own rows. */
   case object Flat extends Backend
 
-  /** The table is the fact side of a join (§5): triples come from a
-    * [[repro.ring.Factorized.Plan]] over `dims` — hierarchical for the initial
-    * triples, flat for the small per-round ones — and models predict from
-    * rows enriched with the dimension attributes.
+  /** The table is the fact side of a join (§5): the complete rows' triple
+    * comes from a hierarchical [[repro.ring.Factorized.Plan]] over `dims`;
+    * the rewritten rows are enriched with the dimension attributes once, so
+    * their triples and predictions read the joined row.
     */
   final case class Factorized(dims: Seq[DimSpec], hierarchy: Seq[Stage]) extends Backend
 }
 
-/** The one MICE driver: masks, initial imputation, the partitions of a
-  * [[Partitioning]]; per round and target, train off a [[Backend]] triple and
-  * impute the missing cells; then impute the rows with every target missing.
+/** The one MICE driver. The rows it rewrites are held as one locally
+  * checkpointed RDD of columnar [[Block]]s; per round and target it trains on
+  * the driver from triples already in hand, then runs one fused pass — one
+  * Spark job — that rewrites the target's missing cells and aggregates the
+  * triples the next training needs. The round's last pass also imputes the
+  * rows with every target missing.
   */
 object MiceEngine {
 
-  /** An opened [[Backend]]: training layout, triple of a partition (`delta`:
-    * a small per-round one), prediction features, output columns.
+  /** An opened [[Backend]]: training layout, triple of the complete rows,
+    * enrichment of the rewritten rows, output columns.
     */
   private final case class Source(
       schema: MiceSchema,
-      triple: (DataFrame, Boolean) => Triple,
+      fixedTriple: DataFrame => Triple,
       enrich: DataFrame => DataFrame,
       outCols: Seq[String],
   )
+
+  /** Block-column indices: of the cofactor attributes in schema order, and
+    * per target its column and its slot among the continuous or categorical
+    * attributes.
+    */
+  private final case class Layout(cont: Array[Int], cat: Array[Int], col: Array[Int],
+                                  slot: Array[Int], isCont: Array[Boolean])
+
+  /** One fused pass: rewrite target `t`'s missing cells with `models(t)`
+    * (no target if `t < 0`), outside the rows missing every target; when `t`
+    * is the last target, also impute those rows from `models` in target
+    * order; then aggregate, per `(target, missing)` of `sel`, the rows that do
+    * or do not miss that target (never rows missing every target).
+    */
+  private final case class Pass(t: Int, models: Array[AttrModel], seeds: Array[Long],
+                                sel: Seq[(Int, Boolean)], stochastic: Boolean)
+
+  private val HashCol = "__row_hash"
 
   def impute(df0: DataFrame, schema: MiceSchema, cfg: MiceConfig,
              partitioning: Partitioning, backend: Backend = Backend.Flat): MiceResult = {
@@ -82,102 +105,135 @@ object MiceEngine {
     val ts = schema.targets
     val nT = ts.size
     val byMissing = partitioning == Partitioning.ByMissing
+    for (t <- ts) require(Vec.imputable.contains(df0.schema(t).dataType),
+      s"target $t has type ${df0.schema(t).dataType}; MICE imputes numeric columns only")
 
-    // `own(t)` is rewritten only for target t, `shared` for every target,
-    // `fixed` never, `allMissing` at the end of each round.
     var fixed: Option[DataFrame] = None
-    var own = Map.empty[String, DataFrame]
-    var shared: Option[DataFrame] = None
-    var allMissing: Option[DataFrame] = None
-    // ByMissing: C over all rows, ownC(t) the share of own(t) in it.
-    // ByObserved: the triple of `fixed`.
-    var c: Triple = null
-    var ownC = Map.empty[String, Triple]
+    var blocks: RDD[Block] = null
     var src: Source = null
+    var lay: Layout = null
+    // The triple of `fixed`, and the triple the next target trains on.
+    var base: Triple = null
+    var cTrain: Triple = null
+
+    /** Run `p` over `blocks` as one job; the new blocks replace them. */
+    def advance(p: Pass, from: RDD[Block]): Array[Triple] = {
+      val l = lay
+      blocks = from.map(step(_, l, p)).localCheckpoint()
+      val parts = blocks.sparkContext.runJob(blocks, (it: Iterator[Block]) => it.map(_.triples).toArray).flatten
+      val cof = src.schema.cofactor
+      p.sel.indices.map(j => parts.foldLeft(Triple.zero(cof.k, cof.l))((acc, ts) => acc.plus(ts(j)))).toArray
+    }
 
     val (_, prepSecs) = Timing.timed {
-      val masked = Imputation.addMasks(df0, schema)
-      val init = Imputation.initImpute(masked, schema, Imputation.initialGuesses(masked, schema))
-      if (partitioning == Partitioning.None) shared = Some(init.localCheckpoint(true))
-      else {
-        val counted = init.withColumn("__nmiss", Imputation.missCount(schema)).localCheckpoint(true)
-        val n = col("__nmiss")
-        def part(cond: Column): DataFrame = counted.filter(cond).localCheckpoint(true)
-        fixed = Some(part(n === 0))
-        // With one target, ByMissing's p1(t) already holds the rows missing it.
-        if (nT >= 2 || !byMissing) allMissing = Some(part(n === nT))
-        if (byMissing) {
-          own = ts.map(t => t -> part(n === 1 && col(schema.maskCol(t)))).toMap
-          if (nT >= 3) shared = Some(part(n >= 2 && n < nT))
-        } else if (nT >= 2) shared = Some(part(n > 0 && n < nT))
-      }
-
       src = backend match {
         case Backend.Flat =>
-          Source(schema, (df, _) => Cofactor.triple(df, schema.cofactor), identity, schema.dataCols)
+          Source(schema, Cofactor.triple(_, schema.cofactor), identity, schema.dataCols)
         case Backend.Factorized(dims, hierarchy) =>
           val plan = sw.phase("dim_partials") {
             repro.ring.Factorized.plan(df0.sparkSession, schema.cofactor, dims, hierarchy)
           }
           Source(MiceSchema(plan.combined.cont, plan.combined.cat, ts),
-            (df, delta) => plan.cofactor(df, hierarchical = !delta), plan.enrich, df0.columns.toSeq)
+            plan.cofactor(_, hierarchical = true), plan.enrich, df0.columns.toSeq)
       }
+      val fs = src.schema
+      val blockCols = src.outCols ++ fs.dataCols.filterNot(src.outCols.contains)
+      lay = Layout(fs.cont.map(blockCols.indexOf).toArray, fs.cat.map(blockCols.indexOf).toArray,
+        ts.map(blockCols.indexOf).toArray,
+        ts.map(t => if (fs.isContinuous(t)) fs.cont.indexOf(t) else fs.cat.indexOf(t)).toArray,
+        ts.map(fs.isContinuous).toArray)
 
-      if (partitioning != Partitioning.None) sw.phase("init_cofactor") {
-        c = src.triple(fixed.get, false)
-        if (byMissing) {
-          ownC = ts.map(t => t -> src.triple(own(t), false)).toMap
-          for (t <- ts) c.plus(ownC(t))
-          shared.foreach(p => c.plus(src.triple(p, false)))
-        }
+      val guesses = Imputation.initialGuesses(df0, schema)
+      val anyMissing = ts.map(t => col(t).isNull).reduce(_ || _)
+      val hashed = df0.withColumn(HashCol, xxhash64(df0.columns.toSeq.map(col): _*))
+      val rewritten = src.enrich(if (partitioning == Partitioning.None) hashed else hashed.filter(anyMissing))
+        .select((blockCols :+ HashCol).map(col): _*)
+      val types = blockCols.map(c => rewritten.schema(c).dataType).toArray
+      val targetCols = lay.col
+      val guessArr = ts.map(guesses).toArray
+
+      sw.phase("init_cofactor") {
+        base =
+          if (partitioning == Partitioning.None) Triple.zero(fs.cofactor.k, fs.cofactor.l)
+          else {
+            val f = df0.filter(!anyMissing).select(src.outCols.map(col): _*).localCheckpoint(false)
+            fixed = Some(f)
+            src.fixedTriple(f)
+          }
+        val built = rewritten.rdd.mapPartitions(it => Iterator(Block.build(it.toArray, types, targetCols, guessArr)))
+        cTrain = advance(Pass(-1, Array.empty, Array.empty, Seq((0, false)), cfg.stochastic), built)(0).plus(base)
       }
     }
 
     val roundSecs = (0 until cfg.iterations).map { iter =>
       Timing.timed {
-        val models = mutable.LinkedHashMap.empty[String, AttrModel]
-        for (t <- ts) {
-          val mask = col(schema.maskCol(t))
-          val cTrain =
-            if (byMissing) {
-              // ΔC: contribution of the rows about to be re-imputed (Alg 2, l.5).
-              val d2 = shared.map(p => sw.phase("delta_cofactor")(src.triple(p.filter(mask), true)))
-              d2.foldLeft(c.copyTriple().minus(ownC(t)))(_.minus(_))
-            } else sw.phase("cofactor") {
-              val scanned = shared.map(p => src.triple(p.filter(!mask), partitioning == Partitioning.ByObserved))
-              (Option(c).map(_.copyTriple()) ++ scanned).reduce(_.plus(_))
-            }
-          val model = sw.phase("train")(Imputation.train(cTrain, src.schema, t, cfg))
-          models.update(t, model)
-          val pred = model.predictColumn(cfg.stochastic, Imputation.noiseSeed(cfg, iter, t))
-          def rewrite(p: DataFrame) = Imputation.updateWhereMasked(p, schema, t, pred, src.enrich)
-          sw.phase("update") {
-            own.get(t).foreach(p => own = own.updated(t, rewrite(p)))
-            shared = shared.map(rewrite)
-          }
-          // ΔC_new: re-add the rewritten rows (Alg 2, l.9-10).
-          if (byMissing) sw.phase("delta_cofactor") {
-            ownC = ownC.updated(t, src.triple(own(t), true))
-            c = cTrain.plus(ownC(t))
-            shared.foreach(p => c.plus(src.triple(p.filter(mask), true)))
-          }
-        }
-        // Rows with every target missing: imputed from this round's models only.
-        allMissing = allMissing.map { p =>
-          if (p.isEmpty) p
-          else sw.phase("update") {
-            models.foldLeft(src.enrich(p)) { case (d, (t, model)) =>
-              val pred = model.predictColumn(cfg.stochastic, Imputation.noiseSeed(cfg, iter, t) + 7)
-              d.withColumn(t, pred.cast(p.schema(t).dataType))
-            }.select(p.columns.toSeq.map(col): _*).localCheckpoint(true)
-          }
+        val models = new Array[AttrModel](nT)
+        val seeds = ts.map(Imputation.noiseSeed(cfg, iter, _)).toArray
+        for (i <- 0 until nT) {
+          models(i) = sw.phase("train")(Imputation.train(cTrain, src.schema, ts(i), cfg))
+          val next = (i + 1) % nT
+          val sel = if (byMissing) Seq((i, true), (next, true)) else Seq((next, false))
+          val pass = Pass(i, models.take(i + 1), seeds, sel, cfg.stochastic)
+          val tri = sw.phase("update")(advance(pass, blocks))
+          // Alg 2, l.9-10 then l.5 for the next target: C_train + ΔC_new − ΔC.
+          cTrain = if (byMissing) cTrain.plus(tri(0)).minus(tri(1)) else tri(0).plus(base)
         }
       }._2
     }
 
-    val out = (fixed.toSeq ++ shared ++ allMissing ++ ts.flatMap(own.get))
-      .map(_.select(src.outCols.map(col): _*))
-      .reduce(_.unionByName(_))
+    val spark = df0.sparkSession
+    val outIdx = src.outCols.indices.toArray
+    val rewrittenOut = spark.createDataFrame(blocks.flatMap(_.rows(outIdx)),
+      StructType(src.outCols.map(df0.schema(_))))
+    val out = fixed.fold(rewrittenOut)(_.unionByName(rewrittenOut))
     MiceResult(out, prepSecs, roundSecs, sw.snapshot)
+  }
+
+  /** Apply `p` to one block, copying the columns it writes. */
+  private def step(b: Block, lay: Layout, p: Pass): Block = {
+    val fillAll = p.t == lay.col.length - 1
+    val cols = b.cols.clone()
+    for (u <- lay.col.indices if u == p.t || fillAll) cols(lay.col(u)) = cols(lay.col(u)).copy()
+    val cont = new Array[Double](lay.cont.length)
+    val cat = new Array[Int](lay.cat.length)
+    val triples = p.sel.map(_ => Triple.zero(cont.length, cat.length)).toArray
+    val selMiss = p.sel.map(s => b.miss(s._1)).toArray
+    val selWant = p.sel.map(_._2).toArray
+    val selected = new Array[Boolean](triples.length)
+
+    def write(u: Int, r: Int, seed: Long): Unit = {
+      val noise = if (p.stochastic) Imputation.gaussian(seed, b.hash(r)) else 0.0
+      val v = cols(lay.col(u))
+      v.set(r, p.models(u).predict(cont, cat, noise))
+      // Later models and triples read the cell as the column holds it.
+      if (lay.isCont(u)) cont(lay.slot(u)) = v.double(r) else cat(lay.slot(u)) = v.int(r)
+    }
+
+    var r = 0
+    while (r < b.size) {
+      val all = b.allMiss.get(r)
+      val rewrite = p.t >= 0 && !all && b.miss(p.t).get(r)
+      val fill = all && fillAll
+      var touched = rewrite || fill
+      var j = 0
+      while (j < selected.length) {
+        selected(j) = !all && selMiss(j).get(r) == selWant(j)
+        touched ||= selected(j)
+        j += 1
+      }
+      if (touched) {
+        j = 0
+        while (j < cont.length) { cont(j) = cols(lay.cont(j)).double(r); j += 1 }
+        j = 0
+        while (j < cat.length) { cat(j) = cols(lay.cat(j)).int(r); j += 1 }
+        if (rewrite) write(p.t, r, p.seeds(p.t))
+        // Rows missing every target keep a noise stream of their own.
+        if (fill) for (u <- lay.col.indices) write(u, r, p.seeds(u) + 7)
+        j = 0
+        while (j < selected.length) { if (selected(j)) triples(j).addRow(cont, cat); j += 1 }
+      }
+      r += 1
+    }
+    new Block(cols, b.nulls, b.miss, b.allMiss, b.hash, triples)
   }
 }

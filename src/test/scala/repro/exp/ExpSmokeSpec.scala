@@ -1,6 +1,8 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.data.{AirQuality, Missingness}
+import repro.mice.{MiceConfig, MiceLow, MiceSchema}
 
 /** Tiny-scale integration runs of every experiment harness — the same code
   * paths the benches and jobs execute, validated end-to-end on small data.
@@ -66,5 +68,13 @@ class ExpSmokeSpec extends SparkSpec {
     val text = SingleTableExp.format(rows)
     assert(text.linesIterator.size == rows.size + 2)
     Methods.clearCaches(spark)
+  }
+
+  test("a MiceLow output can still be counted after clearCaches") {
+    val schema = MiceSchema(AirQuality.Columns, Nil, Seq("pm25", "o3"))
+    val holey = Missingness.mcar(AirQuality.table(spark, 1000), schema.targets, 0.2, seed = 3)
+    val out = MiceLow.impute(holey, schema, MiceConfig(iterations = 1)).imputed
+    Methods.clearCaches(spark)
+    assert(out.count() == 1000)
   }
 }

@@ -60,6 +60,21 @@ class FactorizedMiceSpec extends SparkSpec {
   test("timing fields are populated") {
     val r = FactorizedMice.impute(holeyFact, factSchema, dims, MiceConfig(1, stochastic = false))
     assert(r.preprocessSecs > 0 && r.roundSecs.size == 1)
-    assert(r.breakdown.contains("dim_partials") && r.breakdown.contains("delta_cofactor"))
+    assert(r.breakdown.contains("dim_partials") && r.breakdown.contains("update"))
+  }
+
+  test("stochastic factorized imputations do not depend on the partition layout") {
+    val sto = MiceConfig(iterations = 2, stochastic = true, seed = 1)
+    val ref = FactorizedMice.impute(holeyFact, factSchema, dims, sto).imputed
+    for (layout <- Seq(holeyFact.repartition(3), holeyFact.coalesce(1)))
+      MiceSpec.assertSameCells(ref, FactorizedMice.impute(layout, factSchema, dims, sto).imputed,
+        "airtime", factSchema)
+  }
+
+  test("a factorized round runs at most one Spark job per target") {
+    holeyFact.count()
+    val perRound = MiceSpec.jobsPerRound(spark)(iters =>
+      FactorizedMice.impute(holeyFact, factSchema, dims, cfg.copy(iterations = iters)))
+    assert(perRound <= factSchema.targets.size, s"$perRound jobs per round")
   }
 }

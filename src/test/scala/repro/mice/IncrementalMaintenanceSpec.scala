@@ -1,5 +1,6 @@
 package repro.mice
 
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.{AirQuality, Missingness}
@@ -15,6 +16,12 @@ class IncrementalMaintenanceSpec extends SparkSpec {
   private lazy val base = AirQuality.table(spark, 2000).cache()
   private val schema = MiceSchema(AirQuality.Columns, Nil, Seq("pm25", "pm10", "o3"))
   private val cof = schema.cofactor
+
+  /** Deterministic prediction column of a MICE model. */
+  private def predictColumn(m: AttrModel): Column = m match {
+    case ContAttrModel(r) => r.predictColumn(stochastic = false, seed = 0)
+    case CatAttrModel(c) => c.predictColumn
+  }
 
   test("C − ΔC + ΔC_new tracks the recomputed global cofactor across updates") {
     val holey = Missingness.mcar(base, schema.targets, 0.3, seed = 13)
@@ -34,8 +41,7 @@ class IncrementalMaintenanceSpec extends SparkSpec {
 
       val model = Imputation.train(cTrain, schema, t,
         MiceConfig(stochastic = false, seed = 1))
-      cur = Imputation.updateWhereMasked(cur, schema, t,
-        model.predictColumn(stochastic = false, seed = 1))
+      cur = Imputation.updateWhereMasked(cur, schema, t, predictColumn(model))
       // ΔC_new over the refreshed rows (Alg 2, l.9-10).
       val deltaNew = Cofactor.triple(cur.filter(mask), cof)
       c = cTrain.plus(deltaNew)
@@ -61,8 +67,7 @@ class IncrementalMaintenanceSpec extends SparkSpec {
       val cTrain = c.copyTriple().minus(delta)
       assert(cTrain.approxEquals(Cofactor.triple(cur.filter(!mask), sch.cofactor), 1e-6), t)
       val model = Imputation.train(cTrain, sch, t, MiceConfig(stochastic = false))
-      cur = Imputation.updateWhereMasked(cur, sch, t,
-        model.predictColumn(stochastic = false, seed = 2))
+      cur = Imputation.updateWhereMasked(cur, sch, t, predictColumn(model))
       c = cTrain.plus(Cofactor.triple(cur.filter(mask), sch.cofactor))
       assert(c.approxEquals(Cofactor.triple(cur, sch.cofactor), 1e-6), t)
     }

@@ -72,13 +72,6 @@ class MiceSpec extends SparkSpec {
     }
   }
 
-  test("missCount column partitions the dataset exactly") {
-    val masked = Imputation.addMasks(holey, schema).withColumn("__nmiss", Imputation.missCount(schema))
-    val byCount = masked.groupBy("__nmiss").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    assert(byCount.values.sum == holey.count())
-    assert(byCount.keys.forall(k => k >= 0 && k <= schema.targets.size))
-  }
-
   // ---- the three implementations -------------------------------------------
 
   private def cfgDet(iters: Int = 2) =
@@ -128,6 +121,23 @@ class MiceSpec extends SparkSpec {
     val base = MiceBaseline.impute(holey, schema, cfgDet())
     val high = MiceHigh.impute(holey, schema, cfgDet())
     MiceSpec.assertSameCells(base.imputed, high.imputed, "x1", schema)
+  }
+
+  test("stochastic imputations do not depend on the partition layout") {
+    val cfg = MiceConfig(iterations = 2, stochastic = true, seed = 1)
+    for (impute <- Seq(MiceBaseline.impute _, MiceLow.impute _, MiceHigh.impute _)) {
+      val ref = impute(holey, schema, cfg).imputed
+      for (layout <- Seq(holey.repartition(3), holey.coalesce(1)))
+        MiceSpec.assertSameCells(ref, impute(layout, schema, cfg).imputed, "x1", schema)
+    }
+  }
+
+  test("a round runs at most one Spark job per target") {
+    holey.count()
+    for (impute <- Seq(MiceBaseline.impute _, MiceLow.impute _, MiceHigh.impute _)) {
+      val perRound = MiceSpec.jobsPerRound(spark)(iters => impute(holey, schema, cfgDet(iters)))
+      assert(perRound <= schema.targets.size, s"$perRound jobs per round")
+    }
   }
 
   test("MICE recovers correlated values far better than mean imputation") {
@@ -219,7 +229,31 @@ class MiceSpec extends SparkSpec {
 }
 
 object MiceSpec {
+  import org.apache.spark.TestBus
+  import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+  import org.apache.spark.sql.SparkSession
   import org.scalatest.Assertions._
+
+  /** Spark jobs one extra MICE round costs: the jobs of `run(3)` minus those
+    * of `run(1)` (each including counting the output), halved.
+    */
+  def jobsPerRound(spark: SparkSession)(run: Int => MiceResult): Double = {
+    val sc = spark.sparkContext
+    def jobs(iters: Int): Int = {
+      val group = s"jobs-per-round-$iters-${System.nanoTime()}"
+      val started = new java.util.concurrent.atomic.AtomicInteger
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit =
+          if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) started.incrementAndGet()
+      }
+      sc.addSparkListener(listener)
+      sc.setJobGroup(group, group)
+      try run(iters).imputed.count()
+      finally { sc.clearJobGroup(); TestBus.drain(sc); sc.removeSparkListener(listener) }
+      started.get
+    }
+    (jobs(3) - jobs(1)) / 2.0
+  }
 
   /** Two imputations agree cell by cell on `schema.targets`, rows matched on
     * `key` (unique, never a target): continuous targets within 1e-6 relative,
