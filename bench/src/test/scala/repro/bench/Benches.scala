@@ -36,6 +36,14 @@ class LearningBench extends SparkSpec with BenchScale {
       assert(ring.aggSecs < scalar.aggSecs * 1.5,
         s"$ds/$at: ring ${ring.aggSecs}s vs scalar ${scalar.aggSecs}s")
     }
+    // Fig 3 on the dim-heavy snowflake: plan + factorized aggregate beats
+    // join + ring aggregate.
+    for (at <- Seq("continuous", "cont+categorical")) {
+      val ring = all.find(r => r.dataset == "retailer" && r.attrs == at && r.approach == "ring").get
+      val fact = all.find(r => r.dataset == "retailer" && r.attrs == at && r.approach == "ring + fact").get
+      assert(fact.joinSecs + fact.aggSecs < ring.joinSecs + ring.aggSecs,
+        s"retailer/$at: ring + fact ${fact.aggSecs}s vs ring ${ring.joinSecs}s join + ${ring.aggSecs}s")
+    }
   }
 }
 
@@ -89,6 +97,16 @@ class NormalizedMiceBench extends SparkSpec with BenchScale {
     banner("Fig 6 — imputation over normalized data", NormalizedExp.format(all))
     assert(all.size == 2 * rates.size * 2)
     assert(all.forall(_.roundSecs > 0))
+    // Fig 6 on Retailer: factorized preprocessing plus one round beats the
+    // materialized join at every rate.
+    for (rate <- rates) {
+      def cost(approach: String): Double = {
+        val r = all.find(r => r.dataset == "retailer" && r.rate == rate && r.approach == approach).get
+        r.preprocessSecs + r.roundSecs
+      }
+      assert(cost("factorized") < cost("materialized join"),
+        s"retailer@$rate: factorized ${cost("factorized")}s vs materialized ${cost("materialized join")}s")
+    }
   }
 }
 

@@ -26,29 +26,20 @@ final case class CofactorSchema(cont: Seq[String], cat: Seq[String]) {
   def ++(o: CofactorSchema): CofactorSchema = CofactorSchema(cont ++ o.cont, cat ++ o.cat)
 }
 
-/** The paper's `SUM_TRIPLE` aggregate as a Spark typed [[Aggregator]]:
-  * `fold` adds one input row to the buffer, and buffers merge by ring +.
-  * Buffers and the result are Java-serialized — triples are tiny relative to
-  * the data; as a column the result is a binary that [[Triple.fromBytes]]
-  * decodes.
+/** The paper's `SUM_TRIPLE` aggregate as a Spark typed [[Aggregator]] over
+  * `(continuous, categorical)` rows ([[Cofactor.inputCols]]): each row is
+  * folded in by the fused lift-and-add [[Triple.addRow]], and buffers merge
+  * by ring +. Buffers and the result are Java-serialized — triples are tiny
+  * relative to the data; as a column the result is a binary that
+  * [[Triple.fromBytes]] decodes.
   */
-final class TripleAggregator[IN](k: Int, l: Int)(fold: (Triple, IN) => Triple)
-    extends Aggregator[IN, Triple, Triple] {
+final class TripleAggregator(k: Int, l: Int) extends Aggregator[(Array[Double], Array[Int]), Triple, Triple] {
   override def zero: Triple = Triple.zero(k, l)
-  override def reduce(b: Triple, a: IN): Triple = fold(b, a)
+  override def reduce(b: Triple, a: (Array[Double], Array[Int])): Triple = b.addRow(a._1, a._2)
   override def merge(b1: Triple, b2: Triple): Triple = b1.plus(b2)
   override def finish(r: Triple): Triple = r
   override def bufferEncoder: Encoder[Triple] = Encoders.javaSerialization[Triple]
   override def outputEncoder: Encoder[Triple] = Encoders.javaSerialization[Triple]
-}
-
-object TripleAggregator {
-
-  /** Over `(continuous, categorical)` rows ([[Cofactor.inputCols]]), folded
-    * with the fused lift-and-add [[Triple.addRow]].
-    */
-  def rows(k: Int, l: Int): TripleAggregator[(Array[Double], Array[Int])] =
-    new TripleAggregator[(Array[Double], Array[Int])](k, l)((b, a) => b.addRow(a._1, a._2))
 }
 
 /** Computation of cofactor triples over DataFrames. */
@@ -75,30 +66,17 @@ object Cofactor {
   def triple(df: DataFrame, schema: CofactorSchema): Triple = {
     val (c, d) = inputCols(schema)
     val rows = df.select(c.as("c"), d.as("d")).as(pairEncoder)
-      .select(TripleAggregator.rows(schema.k, schema.l).toColumn).collect()
+      .select(new TripleAggregator(schema.k, schema.l).toColumn).collect()
     if (rows.isEmpty) Triple.zero(schema.k, schema.l) else rows.head
   }
 
   /** Register the untyped `sum_triple(contArray, catArray) -> binary` UDAF in
     * `spark` for the given arity, under `name`. The binary payload is a
-    * Java-serialized [[Triple]] ([[Triple.fromBytes]]); used for grouped
-    * partial triples in factorized evaluation and callable from SQL.
+    * Java-serialized [[Triple]] ([[Triple.fromBytes]]); callable from SQL,
+    * e.g. with `GROUP BY` for per-group triples.
     */
   def registerUdaf(spark: SparkSession, name: String, k: Int, l: Int): Unit =
-    spark.udf.register(name, udaf(TripleAggregator.rows(k, l), pairEncoder))
-
-  /** Grouped partial triples: `SELECT keys, SUM_TRIPLE(attrs) FROM df GROUP BY keys`.
-    * Returns a DataFrame with the key columns plus a binary `__triple` column.
-    */
-  def partialTriples(df: DataFrame, keys: Seq[String], schema: CofactorSchema,
-                     tripleCol: String = "__triple"): DataFrame = {
-    val spark = df.sparkSession
-    val fn = s"sum_triple_${schema.k}_${schema.l}"
-    registerUdaf(spark, fn, schema.k, schema.l)
-    val (c, d) = inputCols(schema)
-    df.groupBy(keys.map(col): _*)
-      .agg(call_udf(fn, c, d).as(tripleCol))
-  }
+    spark.udf.register(name, udaf(new TripleAggregator(k, l), pairEncoder))
 }
 
 /** Explicit encoders for primitive arrays (kept off implicit search paths so
@@ -109,6 +87,4 @@ object ExprEncoders {
     org.apache.spark.sql.catalyst.encoders.ExpressionEncoder[Array[Double]]()
   val intArray: Encoder[Array[Int]] =
     org.apache.spark.sql.catalyst.encoders.ExpressionEncoder[Array[Int]]()
-  val longArray: Encoder[Array[Long]] =
-    org.apache.spark.sql.catalyst.encoders.ExpressionEncoder[Array[Long]]()
 }

@@ -1,8 +1,9 @@
 package repro.ring
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
+import scala.collection.mutable
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType}
 
 /** A dimension table in a star/snowflake schema, joined to the fact table N:1
   * on `keys` (column names shared between fact and dimension — rename
@@ -16,159 +17,192 @@ final case class DimSpec(name: String, df: DataFrame, keys: Seq[String], schema:
   */
 final case class Stage(dimNames: Seq[String], nextKeys: Seq[String])
 
-/** Factorized evaluation of the cofactor aggregate over joins (§5.1): partial
-  * triples are aggregated per join key *inside* each dimension once — pushing
-  * the ring SUM past the join, exploiting distributivity of *ᴿ over +ᴿ — and
-  * the fact side is reduced level-by-level along a variable order
-  * ([[Stage]]s): fact records collapse into per-key groups *before* the wide
-  * dimensions are multiplied in, so a dimension's attributes are touched once
-  * per key group rather than once per fact row. The wide join result is never
-  * materialized.
+/** Factorized evaluation of the cofactor aggregate over joins (§5.1): the
+  * ring SUM is pushed past the joins along a variable order ([[Stage]]s), so
+  * the wide join result is never materialized.
   *
-  * Dimension partials are collected and broadcast — dimensions are small
-  * relative to the fact table (the regime where factorization wins, §6.1).
+  * Every dimension joins N:1, so its partial triple for a key is just the
+  * lift of its one row. A [[Plan]] therefore collects each dimension once as
+  * primitive columns with a packed-key index and broadcasts them —
+  * dimensions are small relative to the fact table (the regime where
+  * factorization wins, §6.1). [[Plan.cofactor]] is then one shuffle-free
+  * Spark job: each partition appends its fact rows' stage-0 dimension rows
+  * and adds them into per-key groups, multiplies each group once by the lift
+  * of its later dimensions' rows, and returns one triple. A group split over
+  * partitions is multiplied once per partition, which distributivity of *ᴿ
+  * over +ᴿ makes exact. As with the join, a fact row whose key has no
+  * dimension row is dropped.
   */
 object Factorized {
 
-  /** Per-key partial triples of one dimension, as a broadcast-ready map. */
-  def partials(dim: DimSpec): Map[Seq[Long], Triple] = {
-    val parts = Cofactor.partialTriples(dim.df, dim.keys, dim.schema)
-    val keyCols = dim.keys.map(k => col(k).cast("long"))
-    parts.select((keyCols :+ col("__triple")): _*).collect().map { r =>
-      val key = dim.keys.indices.map(r.getLong(_))
-      key -> Triple.fromBytes(r.getAs[Array[Byte]](dim.keys.size))
-    }.toMap
+  /** Packs the values of the key columns `cols` (indices into a row's key
+    * values and into `lo` and `span`) into one non-negative Long, exactly:
+    * column c's value is offset by `lo(c)` and takes the bits its range
+    * `lo(c) .. lo(c) + span(c)` needs. Fails, naming `owner` and the column,
+    * when the columns need more than 63 bits together.
+    */
+  private final class KeyPacker(owner: String, names: Seq[String], cols: Array[Int],
+                                lo: Array[Long], span: Array[Long]) extends Serializable {
+    private val bits = cols.map(c => 64 - java.lang.Long.numberOfLeadingZeros(span(c)))
+    for (i <- cols.indices) require(bits.take(i + 1).sum <= 63,
+      s"$owner: key column ${names(cols(i))} does not fit a packed key: key columns " +
+        s"${cols.take(i + 1).map(names).mkString(", ")} need ${bits.take(i + 1).sum} bits, more than 63")
+
+    /** The packed key values `ks`, or -1 if one is out of its column's range. */
+    def pack(ks: Array[Long]): Long = {
+      var p = 0L
+      var i = 0
+      while (i < cols.length) {
+        val v = ks(cols(i)) - lo(cols(i))
+        if (java.lang.Long.compareUnsigned(v, span(cols(i))) > 0) return -1L
+        p = (p << bits(i)) | v
+        i += 1
+      }
+      p
+    }
+  }
+
+  /** One dimension's rows as primitive arrays, and the index from a packed
+    * key to its row.
+    */
+  private final class DimRows(val k: Int, val l: Int, val cont: Array[Array[Double]], val cat: Array[Array[Int]],
+                              key: KeyPacker, index: mutable.LongMap[Int]) extends Serializable {
+
+    /** The row joining the key values `ks`, or -1. */
+    def rowOf(ks: Array[Long]): Int = index.getOrElse(key.pack(ks), -1)
+  }
+
+  /** Fails unless the `keys` of `df` are integral, so that each key value
+    * packs exactly and never aliases another.
+    */
+  private def requireIntegralKeys(owner: String, df: DataFrame, keys: Seq[String]): Unit =
+    for (c <- keys; dt = df.schema(c).dataType)
+      require(Seq(ByteType, ShortType, IntegerType, LongType).contains(dt),
+        s"$owner: key column $c has type $dt; join keys must be integral")
+
+  /** One compiled [[Stage]]: the dimensions it multiplies in (indices into
+    * the plan's dimensions) and the packer of the keys it groups by next.
+    */
+  private final case class Step(dims: Array[Int], next: KeyPacker)
+
+  /** Evaluate `steps` over one partition of fact rows (fact continuous,
+    * fact categorical, then key columns); at most one triple comes out.
+    */
+  private def evaluate(rows: Iterator[Row], kf: Int, lf: Int, nKeys: Int,
+                       dims: Array[DimRows], steps: Array[Step]): Iterator[Triple] = {
+    val s0 = steps.head.dims
+    val k0 = kf + s0.map(dims(_).k).sum
+    val l0 = lf + s0.map(dims(_).l).sum
+    val cont = new Array[Double](k0)
+    val cat = new Array[Int](l0)
+    val ks = new Array[Long](nKeys)
+    val at = new Array[Int](dims.length)
+    // Per group: its key values and its triple.
+    var groups = new mutable.LongMap[(Array[Long], Triple)]
+
+    def joins(r: Row): Boolean = {
+      var i = 0
+      while (i < nKeys) {
+        if (r.isNullAt(kf + lf + i)) return false
+        ks(i) = r.getLong(kf + lf + i)
+        i += 1
+      }
+      // Inner-join semantics: every dimension must hold the row's key.
+      i = 0
+      while (i < dims.length) { at(i) = dims(i).rowOf(ks); if (at(i) < 0) return false; i += 1 }
+      true
+    }
+
+    for (r <- rows if joins(r)) {
+      var i = 0
+      while (i < kf) { cont(i) = r.getDouble(i); i += 1 }
+      i = 0
+      while (i < lf) { cat(i) = r.getInt(kf + i); i += 1 }
+      var c = kf
+      var d = lf
+      i = 0
+      while (i < s0.length) {
+        val dm = dims(s0(i))
+        System.arraycopy(dm.cont(at(s0(i))), 0, cont, c, dm.k)
+        System.arraycopy(dm.cat(at(s0(i))), 0, cat, d, dm.l)
+        c += dm.k; d += dm.l; i += 1
+      }
+      val g = steps.head.next.pack(ks)
+      var grp = groups.getOrNull(g)
+      if (grp == null) { grp = (ks.clone(), Triple.zero(k0, l0)); groups(g) = grp }
+      grp._2.addRow(cont, cat)
+    }
+
+    // Later stages: multiply each group once by the lift of its dimension
+    // rows, then re-key it.
+    for (step <- steps.tail) {
+      val sdims = step.dims.map(dims(_))
+      val next = new mutable.LongMap[(Array[Long], Triple)]
+      groups.foreachValue { case (gks, t0) =>
+        val rs = sdims.map(_.rowOf(gks))
+        val dc = Array.concat(sdims.indices.map(i => sdims(i).cont(rs(i))): _*)
+        val dd = Array.concat(sdims.indices.map(i => sdims(i).cat(rs(i))): _*)
+        val t = t0.times(Triple.lift(dc.length, dd.length, dc, dd))
+        val g = step.next.pack(gks)
+        val into = next.getOrNull(g)
+        if (into == null) next(g) = (gks, t) else into._2.plus(t)
+      }
+      groups = next
+    }
+    groups.valuesIterator.map(_._2)
   }
 
   /** Precomputed state for repeated factorized aggregations over the same
-    * dimensions (MICE recomputes fact-side deltas every round; the dimensions
-    * are complete and never change, so their partials are built once).
+    * dimensions (MICE aggregates fact-side subsets; the dimensions are
+    * complete and never change, so they are collected once).
+    *
+    * @param dims all dimensions, in multiplication (= attribute) order
     */
-  final class Plan(
+  final class Plan private[Factorized] (
       val factSchema: CofactorSchema,
-      orderedDims: Seq[DimSpec],
+      val dims: Seq[DimSpec],
       stages: Seq[Stage],
-      bcasts: Map[String, Broadcast[Map[Seq[Long], Triple]]],
-  ) extends Serializable {
-
-    /** All dimensions, in multiplication (= attribute) order. */
-    val dims: Seq[DimSpec] = orderedDims
+      allKeys: Seq[String],
+      rows: org.apache.spark.broadcast.Broadcast[Array[DimRows]],
+      keyLo: Array[Long],
+      keySpan: Array[Long],
+  ) {
 
     /** Combined attribute layout: fact attrs first, then dims in stage order. */
-    val combined: CofactorSchema = orderedDims.map(_.schema).foldLeft(factSchema)(_ ++ _)
+    val combined: CofactorSchema = dims.map(_.schema).foldLeft(factSchema)(_ ++ _)
 
-    private val allKeys: Seq[String] = orderedDims.flatMap(_.keys).distinct
-
-    /** Factorized cofactor triple of a fact-side subset.
+    /** Factorized cofactor triple of a fact-side subset, in one Spark job.
       *
-      * @param hierarchical follow the staged evaluation order (best for large
-      *        fact sides: wide dims multiply once per key group). For small
-      *        subsets — MICE's per-round deltas — the flat single-stage path
-      *        avoids the group shuffles; pass `hierarchical = false` there.
-      *        Both produce the same triple in the same attribute order.
+      * @param hierarchical follow the staged evaluation order (wide dims
+      *        multiply once per key group). With `false` every dimension
+      *        multiplies in per fact row, which suits small subsets. Both
+      *        produce the same triple in the same attribute order.
       */
     def cofactor(factPart: DataFrame, hierarchical: Boolean = true): Triple = {
-      implicit val tripleEnc: Encoder[Triple] = Encoders.javaSerialization[Triple]
-      implicit val ktEnc: Encoder[(String, Triple)] =
-        Encoders.tuple(Encoders.STRING, tripleEnc)
-      implicit val rowEnc: Encoder[(Array[Double], Array[Int], Array[Long])] =
-        Encoders.tuple(ExprEncoders.doubleArray, ExprEncoders.intArray, ExprEncoders.longArray)
-
-      val (c, d) = Cofactor.inputCols(factSchema)
-      val keyCols = array(allKeys.map(col(_).cast("long")): _*)
-      val ds = factPart.select(c.as("c"), d.as("d"), keyCols.as("ks"))
-        .as[(Array[Double], Array[Int], Array[Long])]
-
-      // Stage 0: lift each fact record, multiply this level's dims per row,
-      // and pre-aggregate into groups keyed by the stage's nextKeys.
-      // (In flat mode every dim multiplies per row and the grouping collapses
-      // to a single global buffer — no shuffle of partial triples.)
-      val s0 = if (hierarchical) stages.head else Stage(orderedDims.map(_.name), Nil)
-      val laterStages = if (hierarchical) stages.tail else Nil
-      val s0dims = s0.dimNames.map(n => orderedDims.find(_.name == n).get)
-      val s0keyIdx = s0dims.map(_.keys.map(allKeys.indexOf).toArray).toArray
-      val s0arity = s0dims.map(dm => (dm.schema.k, dm.schema.l)).toArray
-      val s0maps = s0dims.map(dm => bcasts(dm.name)).toArray
-      val nextIdx0 = s0.nextKeys.map(allKeys.indexOf).toArray
-      val kf = factSchema.k; val lf = factSchema.l
-      val arity0 = s0dims.map(_.schema).foldLeft(factSchema)(_ ++ _)
-      val (k0, l0) = (arity0.k, arity0.l)
-
-      def liftTimesStage0(row: (Array[Double], Array[Int], Array[Long])): Triple = {
-        var t = Triple.lift(kf, lf, row._1, row._2)
-        var i = 0
-        while (i < s0maps.length) {
-          val key: Seq[Long] = s0keyIdx(i).map(row._3(_)).toSeq
-          t = t.times(s0maps(i).value.getOrElse(key, Triple.one(s0arity(i)._1, s0arity(i)._2)))
-          i += 1
-        }
-        t
-      }
-
-      var cur: Dataset[(String, Triple)] =
-        if (nextIdx0.isEmpty) {
-          // No grouping: one global typed aggregation (partial per partition,
-          // no sort, no per-group buffer shuffling) — the flat fast path.
-          val agg = new TripleAggregator[(Array[Double], Array[Int], Array[Long])](k0, l0)(
-            (b, row) => b.plus(liftTimesStage0(row)))
-          ds.select(agg.toColumn).map(t => ("", t))
-        } else {
-          // Grouped: colocate rows by group key with one compact-row shuffle,
-          // then aggregate each partition's groups in a local hash map —
-          // avoiding Catalyst's sort-aggregate over opaque typed buffers.
-          val rdd = ds.rdd
-            .map(row => (nextIdx0.map(row._3(_)).mkString(":"), row))
-            .partitionBy(new org.apache.spark.HashPartitioner(
-              factPart.sparkSession.sparkContext.defaultParallelism))
-            .mapPartitions { it =>
-              val acc = scala.collection.mutable.HashMap.empty[String, Triple]
-              for ((key, row) <- it)
-                acc.getOrElseUpdate(key, Triple.zero(k0, l0)).plus(liftTimesStage0(row))
-              acc.iterator
-            }
-          factPart.sparkSession.createDataset(rdd)(ktEnc)
-        }
-      var curKeys: Seq[String] = s0.nextKeys
-
-      // Later stages: multiply in this level's dims (one lookup per *group*),
-      // then re-group by the next key set.
-      for (stage <- laterStages) {
-        val sdims = stage.dimNames.map(n => orderedDims.find(_.name == n).get)
-        val keyIdx = sdims.map(_.keys.map(curKeys.indexOf).toArray).toArray
-        require(keyIdx.forall(_.forall(_ >= 0)),
-          s"stage dims ${stage.dimNames} need keys within $curKeys")
-        val arity = sdims.map(dm => (dm.schema.k, dm.schema.l)).toArray
-        val maps = sdims.map(dm => bcasts(dm.name)).toArray
-        val nextIdx = stage.nextKeys.map(curKeys.indexOf).toArray
-        require(nextIdx.forall(_ >= 0), s"nextKeys ${stage.nextKeys} must be within $curKeys")
-
-        val mult: Dataset[(String, Triple)] = cur.map { case (keyStr, t0) =>
-          val keyVals = if (keyStr.isEmpty) Array.empty[Long] else keyStr.split(':').map(_.toLong)
-          var t = t0
-          var i = 0
-          while (i < maps.length) {
-            val key: Seq[Long] = keyIdx(i).map(keyVals(_)).toSeq
-            t = t.times(maps(i).value.getOrElse(key, Triple.one(arity(i)._1, arity(i)._2)))
-            i += 1
-          }
-          (nextIdx.map(keyVals(_)).mkString(":"), t)
-        }
-        cur = mult.groupByKey(_._1)(Encoders.STRING)
-          .reduceGroups((a, b) => (a._1, a._2.plus(b._2)))
-          .map(_._2)
-        curKeys = stage.nextKeys
-      }
-      require(curKeys.isEmpty, "the last stage must group down to a single global triple")
-      val out = cur.collect()
-      if (out.isEmpty) Triple.zero(combined.k, combined.l)
-      else out.map(_._2).reduce(_.plus(_))
+      val order = if (hierarchical) stages else Seq(Stage(dims.map(_.name), Nil))
+      var avail = allKeys
+      val steps = order.map { stage =>
+        val ix = stage.dimNames.map(n => dims.indexWhere(_.name == n))
+        require(ix.forall(dims(_).keys.forall(avail.contains)),
+          s"stage dims ${stage.dimNames} need keys within $avail")
+        require(stage.nextKeys.forall(avail.contains), s"nextKeys ${stage.nextKeys} must be within $avail")
+        avail = stage.nextKeys
+        Step(ix.toArray, new KeyPacker(s"stage ${stage.dimNames.mkString(", ")}", allKeys,
+          stage.nextKeys.map(allKeys.indexOf).toArray, keyLo, keySpan))
+      }.toArray
+      requireIntegralKeys("fact", factPart, allKeys)
+      val (kf, lf, nKeys, bc) = (factSchema.k, factSchema.l, allKeys.size, rows)
+      val parts = factPart.select(factSchema.cont.map(col(_).cast("double")) ++
+          factSchema.cat.map(col(_).cast("int")) ++ allKeys.map(col(_).cast("long")): _*)
+        .rdd.mapPartitions(it => evaluate(it, kf, lf, nKeys, bc.value, steps)).collect()
+      parts.foldLeft(Triple.zero(combined.k, combined.l))(_.plus(_))
     }
 
     /** Enrich a fact-side subset with all dimension attribute columns (used to
       * build prediction features for missing rows — small joins only).
       */
     def enrich(factPart: DataFrame): DataFrame =
-      orderedDims.foldLeft(factPart) { (acc, dim) =>
+      dims.foldLeft(factPart) { (acc, dim) =>
         // Broadcast the (small) dimension — the DB analogue of an indexed
         // N:1 lookup; the global broadcast kill-switch in tests would force a
         // full shuffle for every per-round prediction otherwise.
@@ -177,16 +211,19 @@ object Factorized {
       }
   }
 
-  /** Build a [[Plan]]. `hierarchy` gives the evaluation order; by default all
+  /** Build a [[Plan]]: collect each dimension once (one Spark job each) and
+    * broadcast them. `hierarchy` gives the evaluation order; by default all
     * dimensions multiply at stage 0 (per fact row) and everything sums to one
     * group — correct for any schema, but without group-level sharing. Passing
     * a real hierarchy (e.g. narrow dims at stage 0, wide dims at coarser
     * levels) is what makes factorization pay off on dim-heavy schemas.
     *
     * The combined attribute order follows the stage order, i.e.
-    * `fact ++ stages.flatMap(dims)`.
+    * `fact ++ stages.flatMap(dims)`. Fails, naming the dimension and the
+    * column, when a dimension repeats a key or its key columns need more than
+    * 63 bits together.
     */
-  def plan(spark: org.apache.spark.sql.SparkSession, factSchema: CofactorSchema,
+  def plan(spark: SparkSession, factSchema: CofactorSchema,
            dims: Seq[DimSpec], hierarchy: Seq[Stage] = Nil): Plan = {
     val stages = if (hierarchy.nonEmpty) hierarchy else Seq(Stage(dims.map(_.name), Nil))
     val stageNames = stages.flatMap(_.dimNames)
@@ -194,7 +231,42 @@ object Factorized {
       s"hierarchy must cover every dim exactly once: $stageNames vs ${dims.map(_.name)}")
     require(stages.last.nextKeys.isEmpty, "the final stage must have no nextKeys")
     val ordered = stageNames.map(n => dims.find(_.name == n).get)
-    val bcasts = dims.map(d => d.name -> spark.sparkContext.broadcast(partials(d))).toMap
-    new Plan(factSchema, ordered, stages, bcasts)
+    val allKeys = ordered.flatMap(_.keys).distinct
+    val fetched = ordered.map { dim =>
+      requireIntegralKeys(s"dimension ${dim.name}", dim.df, dim.keys)
+      val nk = dim.keys.size
+      val rows = dim.df.select(dim.keys.map(col(_).cast("long")) ++ dim.schema.cont.map(col(_).cast("double")) ++
+          dim.schema.cat.map(col(_).cast("int")): _*)
+        .collect().filter(r => (0 until nk).forall(!r.isNullAt(_))) // a null key joins nothing
+      val ks = rows.map { r =>
+        val a = new Array[Long](allKeys.size)
+        for (i <- 0 until nk) a(allKeys.indexOf(dim.keys(i))) = r.getLong(i)
+        a
+      }
+      (rows, ks)
+    }
+    // Each key column packs over the range of its values in every dimension
+    // that holds it; fact values out of that range join nothing.
+    val keyLo = new Array[Long](allKeys.size)
+    val keySpan = new Array[Long](allKeys.size)
+    for ((c, i) <- allKeys.zipWithIndex) {
+      val vs = ordered.indices.filter(ordered(_).keys.contains(c)).flatMap(fetched(_)._2.map(_(i)))
+      if (vs.nonEmpty) { keyLo(i) = vs.min; keySpan(i) = vs.max - vs.min }
+    }
+    val dimRows = ordered.zip(fetched).map { case (dim, (rows, ks)) =>
+      val (nk, k, l) = (dim.keys.size, dim.schema.k, dim.schema.l)
+      val owner = s"dimension ${dim.name}"
+      val packer = new KeyPacker(owner, allKeys, dim.keys.map(allKeys.indexOf).toArray, keyLo, keySpan)
+      val index = new mutable.LongMap[Int](rows.length)
+      for ((a, r) <- ks.zipWithIndex) {
+        val p = packer.pack(a)
+        require(!index.contains(p), s"$owner repeats key " +
+          dim.keys.map(c => s"$c=${a(allKeys.indexOf(c))}").mkString(", ") + "; a dimension must join N:1")
+        index(p) = r
+      }
+      new DimRows(k, l, rows.map(r => Array.tabulate(k)(j => r.getDouble(nk + j))),
+        rows.map(r => Array.tabulate(l)(j => r.getInt(nk + k + j))), packer, index)
+    }
+    new Plan(factSchema, ordered, stages, allKeys, spark.sparkContext.broadcast(dimRows.toArray), keyLo, keySpan)
   }
 }

@@ -49,9 +49,9 @@ final class Triple(
 
   import Triple._
 
-  // Default Java serialization of Scala HashMaps is the dominant cost of
-  // shuffling grouped partial triples; a manual primitive codec is ~10x
-  // cheaper and is picked up by every path (Spark encoders, broadcasts).
+  // Default Java serialization of Scala HashMaps dominates the cost of moving
+  // triples (aggregation buffers, task results); a manual primitive codec is
+  // ~10x cheaper and is picked up by every path (Spark encoders, closures).
   override def writeExternal(out: java.io.ObjectOutput): Unit = {
     out.writeInt(k0); out.writeInt(l0); out.writeDouble(n)
     var i = 0

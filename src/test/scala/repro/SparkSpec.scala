@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.spark.TestBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -35,5 +37,23 @@ object SparkSpec {
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )
     s
+  }
+
+  /** Spark jobs that `thunk` starts, counted by a listener scoped to a job
+    * group of its own.
+    */
+  def jobsOf(spark: SparkSession)(thunk: => Any): Int = {
+    val sc = spark.sparkContext
+    val group = s"jobs-of-${System.nanoTime()}"
+    val started = new java.util.concurrent.atomic.AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) started.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    sc.setJobGroup(group, group)
+    try thunk
+    finally { sc.clearJobGroup(); TestBus.drain(sc); sc.removeSparkListener(listener) }
+    started.get
   }
 }

@@ -229,8 +229,6 @@ class MiceSpec extends SparkSpec {
 }
 
 object MiceSpec {
-  import org.apache.spark.TestBus
-  import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
   import org.apache.spark.sql.SparkSession
   import org.scalatest.Assertions._
 
@@ -238,20 +236,7 @@ object MiceSpec {
     * of `run(1)` (each including counting the output), halved.
     */
   def jobsPerRound(spark: SparkSession)(run: Int => MiceResult): Double = {
-    val sc = spark.sparkContext
-    def jobs(iters: Int): Int = {
-      val group = s"jobs-per-round-$iters-${System.nanoTime()}"
-      val started = new java.util.concurrent.atomic.AtomicInteger
-      val listener = new SparkListener {
-        override def onJobStart(e: SparkListenerJobStart): Unit =
-          if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) started.incrementAndGet()
-      }
-      sc.addSparkListener(listener)
-      sc.setJobGroup(group, group)
-      try run(iters).imputed.count()
-      finally { sc.clearJobGroup(); TestBus.drain(sc); sc.removeSparkListener(listener) }
-      started.get
-    }
+    def jobs(iters: Int): Int = SparkSpec.jobsOf(spark)(run(iters).imputed.count())
     (jobs(3) - jobs(1)) / 2.0
   }
 

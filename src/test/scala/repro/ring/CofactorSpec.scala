@@ -122,9 +122,13 @@ class CofactorSpec extends SparkSpec {
   }
 
   test("grouped partial triples partition the global triple") {
-    val parts = Cofactor.partialTriples(flightDf, Seq("carrier"),
-      CofactorSchema(Seq("distance", "airtime"), Seq("diverted")))
-    val collected = parts.collect().map(r => r.getInt(0) -> Triple.fromBytes(r.getAs[Array[Byte]](1)))
+    Cofactor.registerUdaf(spark, "sum_triple_g", 2, 1)
+    flightDf.createOrReplaceTempView("flight_g")
+    val collected = spark.sql(
+      """SELECT carrier, sum_triple_g(array(CAST(distance AS DOUBLE), CAST(airtime AS DOUBLE)),
+        |                             array(CAST(diverted AS INT)))
+        |FROM flight_g GROUP BY carrier""".stripMargin)
+      .collect().map(r => r.getInt(0) -> Triple.fromBytes(r.getAs[Array[Byte]](1)))
     assert(collected.length == 3)
     val total = collected.map(_._2.copyTriple()).reduce(_.plus(_))
     assert(total.approxEquals(Cofactor.triple(flightDf, CofactorSchema(Seq("distance", "airtime"), Seq("diverted")))))

@@ -23,10 +23,57 @@ class FactorizedSpec extends SparkSpec {
       CofactorSchema(Seq("cr_speed", "cr_avg_age"), Seq("cr_alliance"))),
   )
 
-  test("dimension partials hold one triple per key with group counts") {
-    val p = Factorized.partials(dims.head)
-    assert(p.size == Flight.NumAirports)
-    assert(p.values.forall(_.n == 1.0)) // airports are unique per key
+  /** Carriers per fact row, airports once per origin group. */
+  private val flightHier = Seq(Stage(Seq("carriers"), Seq("origin_id")), Stage(Seq("airports"), Nil))
+
+  test("plan rejects a dimension that repeats a key") {
+    val twice = airports.union(airports.limit(1))
+    val e = intercept[IllegalArgumentException](Factorized.plan(spark, factSchema,
+      Seq(DimSpec("airports", twice, Seq("origin_id"), dims.head.schema), dims(1))))
+    assert(e.getMessage.contains("dimension airports") && e.getMessage.contains("origin_id"), e.getMessage)
+  }
+
+  test("keys that cannot be packed exactly are rejected, and never alias") {
+    import spark.implicits._
+    val sch = CofactorSchema(Seq("x"), Nil)
+    // Two key columns of 41 bits each need more than one Long holds.
+    val wide = Seq((0L, 0L, 1.0), (1L << 40, 1L << 40, 2.0)).toDF("a", "b", "x")
+    val e1 = intercept[IllegalArgumentException](
+      Factorized.plan(spark, CofactorSchema(Nil, Nil), Seq(DimSpec("wide", wide, Seq("a", "b"), sch))))
+    assert(e1.getMessage.contains("dimension wide") && e1.getMessage.contains("key column b"), e1.getMessage)
+    // A fractional key would alias its truncation.
+    val frac = Seq((0.5, 1.0)).toDF("a", "x")
+    val e2 = intercept[IllegalArgumentException](
+      Factorized.plan(spark, CofactorSchema(Nil, Nil), Seq(DimSpec("frac", frac, Seq("a"), sch))))
+    assert(e2.getMessage.contains("dimension frac") && e2.getMessage.contains("key column a"), e2.getMessage)
+    // (0, 2) lies outside b's range 0..1; packed without its range it would be (1, 0).
+    val small = Seq((0, 0, 1.0), (0, 1, 2.0), (1, 0, 4.0), (1, 1, 8.0)).toDF("a", "b", "x")
+    val fact = Seq((0, 2, 1.0), (1, 1, 3.0)).toDF("a", "b", "y")
+    val plan = Factorized.plan(spark, CofactorSchema(Seq("y"), Nil), Seq(DimSpec("small", small, Seq("a", "b"), sch)))
+    val t = plan.cofactor(fact)
+    assert(t.approxEquals(Cofactor.triple(fact.join(small, Seq("a", "b")), plan.combined), 1e-12))
+    assert(t.n == 1.0 && t.s(1) == 8.0)
+  }
+
+  test("a fact row whose key has no dimension row is dropped, as by the join") {
+    val dangling = flights.withColumn("origin_id",
+      when(col("flight_id") === 0, lit(Flight.NumAirports + 5)).otherwise(col("origin_id")))
+    val plan = Factorized.plan(spark, factSchema, dims, flightHier)
+    val mat = Cofactor.triple(dangling.join(airports, "origin_id").join(carriers, "carrier_id"), plan.combined)
+    assert(mat.n == flights.count() - 1)
+    for (h <- Seq(true, false)) {
+      val t = plan.cofactor(dangling, hierarchical = h)
+      assert(t.approxEquals(mat, 1e-9), s"hierarchical=$h: n=${t.n} join n=${mat.n}")
+    }
+  }
+
+  test("plan cofactor runs exactly one Spark job") {
+    flights.count()
+    val plan = Factorized.plan(spark, factSchema, dims, flightHier)
+    for (h <- Seq(true, false)) {
+      val jobs = SparkSpec.jobsOf(spark)(plan.cofactor(flights, hierarchical = h))
+      assert(jobs == 1, s"hierarchical=$h: $jobs jobs")
+    }
   }
 
   test("factorized cofactor equals the triple over the materialized join") {
@@ -83,8 +130,7 @@ class FactorizedSpec extends SparkSpec {
   }
 
   test("hierarchical plan matches the default plan and the materialized join") {
-    val hierarchy = Seq(Stage(Seq("carriers"), Seq("origin_id")), Stage(Seq("airports"), Nil))
-    val hPlan = Factorized.plan(spark, factSchema, dims, hierarchy)
+    val hPlan = Factorized.plan(spark, factSchema, dims, flightHier)
     // Stage order puts carriers before airports in the combined layout.
     assert(hPlan.combined.cont ==
       Seq("distance", "airtime", "depdelay", "cr_speed", "cr_avg_age", "o_lat", "o_elev"))
@@ -106,33 +152,42 @@ class FactorizedSpec extends SparkSpec {
       Factorized.plan(spark, factSchema, dims, Seq(Stage(Seq("carriers"), Nil))))
   }
 
+  private lazy val inv = Retailer.inventory(spark, 2000).cache()
+  private lazy val loc = Retailer.location(spark, seed = 555 + 901)
+    .join(Retailer.census(spark, seed = 555 + 902), "zip").cache()
+  private lazy val item = Retailer.item(spark, seed = 555 + 903).cache()
+  private lazy val weather = Retailer.weather(spark, seed = 555 + 904).cache()
+  private val invSchema = CofactorSchema(Seq("inventoryunits"), Nil)
+  private lazy val rdims = Seq(
+    DimSpec("loc_census", loc, Seq("locn"),
+      CofactorSchema(Seq("rgn_sales_idx", "population", "medianage", "income"), Seq("clim_zone", "urbanicity"))),
+    DimSpec("item", item, Seq("ksn"), CofactorSchema(Seq("price"), Seq("category", "subcategory"))),
+    DimSpec("weather", weather, Seq("locn", "dateid"),
+      CofactorSchema(Seq("maxtemp", "mintemp"), Seq("rain", "snow"))),
+  )
+  private val rhier = Seq(Stage(Seq("item"), Seq("locn", "dateid")),
+    Stage(Seq("weather"), Seq("locn")), Stage(Seq("loc_census"), Nil))
+
   test("snowflake factorization (Retailer) matches the materialized join") {
-    val inv = Retailer.inventory(spark, 2000).cache()
-    val loc = Retailer.location(spark, seed = 555 + 901).join(Retailer.census(spark, seed = 555 + 902), "zip").cache()
-    val it = Retailer.item(spark, seed = 555 + 903).cache()
-    val w = Retailer.weather(spark, seed = 555 + 904).cache()
-    val factSch = CofactorSchema(Seq("inventoryunits"), Nil)
-    val rdims = Seq(
-      DimSpec("loc_census", loc, Seq("locn"),
-        CofactorSchema(Seq("rgn_sales_idx", "population", "medianage", "income"),
-          Seq("clim_zone", "urbanicity"))),
-      DimSpec("item", it, Seq("ksn"), CofactorSchema(Seq("price"), Seq("category", "subcategory"))),
-      DimSpec("weather", w, Seq("locn", "dateid"),
-        CofactorSchema(Seq("maxtemp", "mintemp"), Seq("rain", "snow"))),
-    )
-    val plan = Factorized.plan(spark, factSch, rdims)
+    val plan = Factorized.plan(spark, invSchema, rdims)
     val fct = plan.cofactor(inv)
-    val joined = inv.join(loc, "locn").join(it, "ksn").join(w, Seq("locn", "dateid"))
+    val joined = inv.join(loc, "locn").join(item, "ksn").join(weather, Seq("locn", "dateid"))
     val mat = Cofactor.triple(joined, plan.combined)
     assert(fct.approxEquals(mat, 1e-5), s"fact.n=${fct.n} mat.n=${mat.n}")
 
     // The 3-level hierarchical order gives the same triple (modulo attr order).
-    val hier = Seq(Stage(Seq("item"), Seq("locn", "dateid")),
-      Stage(Seq("weather"), Seq("locn")), Stage(Seq("loc_census"), Nil))
-    val hPlan = Factorized.plan(spark, factSch, rdims, hier)
+    val hPlan = Factorized.plan(spark, invSchema, rdims, rhier)
     val hT = hPlan.cofactor(inv)
     val hMat = Cofactor.triple(joined, hPlan.combined)
     assert(hT.approxEquals(hMat, 1e-5), s"hier.n=${hT.n} mat.n=${hMat.n}")
+  }
+
+  test("factorized cofactor does not depend on the partition layout or the evaluation order") {
+    val plan = Factorized.plan(spark, invSchema, rdims, rhier)
+    val ref = plan.cofactor(inv)
+    for (layout <- Seq(inv.repartition(1), inv.repartition(7)))
+      assert(plan.cofactor(layout).approxEquals(ref, 1e-9), s"${layout.rdd.getNumPartitions} partitions")
+    assert(plan.cofactor(inv, hierarchical = false).approxEquals(ref, 1e-9))
   }
 
   private def round3(v: Double): Double = math.rint(v * 1e3) / 1e3

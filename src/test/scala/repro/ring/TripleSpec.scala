@@ -193,7 +193,7 @@ class TripleSpec extends AnyFunSuite with PropHelpers {
   // ---- serialization -------------------------------------------------------
 
   test("fromBytes round-trips a triple serialized by the aggregator's output encoder") {
-    val toRow = encoderFor(TripleAggregator.rows(2, 2).outputEncoder).createSerializer()
+    val toRow = encoderFor(new TripleAggregator(2, 2).outputEncoder).createSerializer()
     forAllG(tripleGen(2, 2)) { t =>
       assert(Triple.fromBytes(toRow(t).getBinary(0)).approxEquals(t, 0.0))
     }
