@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""Copy the measured tables from bench_output.txt into EXPERIMENTS.md.
+"""Copy the measured tables from a bench log into EXPERIMENTS.md.
+
+Usage: sbt -batch "bench/test" | tee bench.log && python3 scripts/fill_experiments.py bench.log
 
 Each bench suite prints its table under a banner line
 `===== Fig N — ... =====`; this script extracts every markdown table block
-and substitutes the matching `<!-- FIGN -->` placeholder.
+and substitutes the matching `<!-- FIGN -->` placeholder. sbt's `[info] `
+line prefix, if present, is ignored.
 """
 import re
 import sys
 
-bench = open("bench_output.txt", encoding="utf-8").read()
+if len(sys.argv) != 2:
+    sys.exit(__doc__.strip().splitlines()[2])
+
+with open(sys.argv[1], encoding="utf-8") as f:
+    bench = "".join(re.sub(r"^\[info\] ?", "", line) for line in f)
 exp = open("EXPERIMENTS.md", encoding="utf-8").read()
 
 blocks = {}

@@ -117,11 +117,10 @@ object AutoencoderImputer {
   def impute(df0: DataFrame, schema: MiceSchema, cfg: Config = Config()): MiceResult = {
     val sw = new Timing.StopWatch
     val attrs = schema.cofactor.cont ++ schema.cofactor.cat
-    val masked = Imputation.addMasks(df0, schema)
     val (model, prepSecs) = Timing.timed {
-      val n = masked.count().toDouble
+      val n = df0.count().toDouble
       val frac = math.min(1.0, cfg.maxSample / math.max(n, 1.0))
-      val sampled = masked.sample(withReplacement = false, frac, cfg.seed)
+      val sampled = df0.sample(withReplacement = false, frac, cfg.seed)
         .select(attrs.map(c => col(c).cast("double")): _*).collect()
       val rows = sampled.map(r => Array.tabulate(attrs.length)(i => if (r.isNullAt(i)) 0.0 else r.getDouble(i)))
       val masks = sampled.map(r => Array.tabulate(attrs.length)(r.isNullAt))
@@ -129,7 +128,7 @@ object AutoencoderImputer {
     }
     val (out, imputeSecs) = Timing.timed {
       val codes: Map[String, Array[Int]] = schema.targets.filterNot(schema.isContinuous).map { t =>
-        t -> masked.filter(col(t).isNotNull).select(t).distinct().collect()
+        t -> df0.filter(col(t).isNotNull).select(t).distinct().collect()
           .map(_.get(0).toString.toInt).sorted
       }.toMap
       val catCodes = attrs.map(a => codes.getOrElse(a, Array.empty[Int])).toArray
@@ -145,7 +144,7 @@ object AutoencoderImputer {
       })
       val valArr = array(attrs.map(c => coalesce(col(c).cast("double"), lit(0.0))): _*)
       val missArr = array(attrs.map(c => col(c).isNull): _*)
-      var d = masked.withColumn("__rec", rec(valArr, missArr))
+      var d = df0.withColumn("__rec", rec(valArr, missArr))
       for ((t, i) <- attrs.zipWithIndex if schema.targets.contains(t)) {
         val dt = d.schema(t).dataType
         d = d.withColumn(t, coalesce(col(t), col("__rec").getItem(i).cast(dt)))

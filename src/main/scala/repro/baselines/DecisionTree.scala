@@ -29,7 +29,6 @@ object DecisionTree {
   final case class TreeConfig(
       maxDepth: Int = 8,
       minLeaf: Int = 10,
-      candidates: Int = 16, // retained for API compatibility; prefix scan evaluates all boundaries
       featureFraction: Double = 1.0,
   )
 

@@ -29,61 +29,25 @@ object MiceDirect {
   def impute(df0: DataFrame, schema: MiceSchema, cfg: MiceConfig = MiceConfig(),
              maskFeatures: Boolean = false): MiceResult = {
     val sw = new Timing.StopWatch
-    var oneHot = Map.empty[String, Seq[(Int, String)]] // cat attr -> (code, column)
 
-    val (cur0, prepSecs) = Timing.timed {
+    val ((cur0, encoded), prepSecs) = Timing.timed {
       val masked = Imputation.addMasks(df0, schema)
       val guesses = Imputation.initialGuesses(masked, schema)
-      var d = Imputation.initImpute(masked, schema, guesses)
-      // One-hot materialization (the competitors' preprocessing step).
-      for (c <- schema.cat) {
-        val codes = d.select(c).distinct().collect().map(_.get(0).toString.toInt).sorted.toSeq
-        val cols = codes.map(code => code -> s"__oh_${c}_$code")
-        oneHot += c -> cols
-        for ((code, name) <- cols)
-          d = d.withColumn(name, (col(c) === code).cast("double"))
-      }
-      if (maskFeatures)
-        for (t <- schema.targets)
-          d = d.withColumn(s"__mf_$t", col(schema.maskCol(t)).cast("double"))
-      d.localCheckpoint(true)
+      val (d, codes) = oneHot(Imputation.initImpute(masked, schema, guesses), schema.cat)
+      val withMasks =
+        if (!maskFeatures) d
+        else schema.targets.foldLeft(d)((acc, t) => acc.withColumn(s"__mf_$t", col(schema.maskCol(t)).cast("double")))
+      (withMasks.localCheckpoint(true), codes)
     }
     var cur = cur0
 
     /** Predictor columns when imputing `target` (one-hot space + optional masks). */
     def featureCols(target: String): Seq[String] = {
       val contF = schema.cont.filter(_ != target)
-      val catF = schema.cat.filter(_ != target).flatMap(c => oneHot(c).map(_._2))
+      val catF = schema.cat.filter(_ != target).flatMap(c => encoded(c).map(_._2))
       val maskF = if (maskFeatures) schema.targets.filter(_ != target).map(t => s"__mf_$t") else Nil
       contF ++ catF ++ maskF
     }
-
-    /** Scalar-SUM cofactor over [1, feats, rhs*] — (m²+m·r) SUM aggregates. */
-    def scalarCofactor(d: DataFrame, feats: Seq[String], rhs: Seq[String]):
-        (Array[Array[Double]], Array[Array[Double]], Double) = {
-      val fs = lit(1.0) +: feats.map(col(_).cast("double"))
-      val m = fs.length
-      val rs = rhs.map(col(_).cast("double"))
-      val exprs =
-        (for (i <- 0 until m; j <- i until m) yield sum(fs(i) * fs(j))) ++
-          (for (i <- 0 until m; r <- rs) yield sum(fs(i) * r))
-      val row = d.select(exprs: _*).head()
-      val a = Array.ofDim[Double](m, m)
-      var idx = 0
-      for (i <- 0 until m; j <- i until m) {
-        val v = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx)
-        a(i)(j) = v; a(j)(i) = v; idx += 1
-      }
-      val bs = Array.ofDim[Double](rhs.length, m)
-      for (i <- 0 until m; r <- rhs.indices) {
-        bs(r)(i) = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx); idx += 1
-      }
-      (a, bs, a(0)(0))
-    }
-
-    def ridge(a: Array[Array[Double]], lambda: Double): Array[Array[Double]] =
-      Array.tabulate(a.length, a.length)((i, j) =>
-        if (i == j && i != 0) a(i)(j) * (1.0 + lambda) else a(i)(j))
 
     def linearExpr(feats: Seq[String], theta: Array[Double]): Column =
       feats.zipWithIndex.foldLeft(lit(theta(0))) { case (acc, (f, i)) =>
@@ -97,7 +61,7 @@ object MiceDirect {
           val obs = cur.filter(!mask)
           val feats = featureCols(t)
           if (schema.isContinuous(t)) {
-            val (a, bs, _) = sw.phase("cofactor")(scalarCofactor(obs, feats, Seq(t)))
+            val (a, bs) = sw.phase("cofactor")(scalarCofactor(obs, feats, Seq(t)))
             val theta = sw.phase("train")(LinAlg.solve(ridge(a, cfg.lambda), bs(0)))
             cur = sw.phase("update") {
               cur.withColumn(t, when(mask, linearExpr(feats, theta)).otherwise(col(t)))
@@ -105,8 +69,8 @@ object MiceDirect {
             }
           } else {
             // One-vs-rest least-squares scorers per class.
-            val classCols = oneHot(t)
-            val (a, bs, _) = sw.phase("cofactor")(
+            val classCols = encoded(t)
+            val (a, bs) = sw.phase("cofactor")(
               scalarCofactor(obs, feats, classCols.map(_._2)))
             val thetas = sw.phase("train")(LinAlg.solveMany(ridge(a, cfg.lambda), bs))
             val scores = classCols.zip(thetas).map { case ((code, _), th) =>
@@ -131,4 +95,51 @@ object MiceDirect {
     }
     MiceResult(Imputation.stripMasks(cur, schema), prepSecs, roundSecs, sw.snapshot)
   }
+
+  /** One-hot encode the categorical attributes `cats` of `df` (the
+    * competitors' preprocessing step): a 0/1 double column `__oh_<c>_<code>`
+    * per code that occurs, and per attribute its (code, column) pairs in code
+    * order.
+    */
+  def oneHot(df: DataFrame, cats: Seq[String]): (DataFrame, Map[String, Seq[(Int, String)]]) = {
+    var d = df
+    val codes = cats.map { c =>
+      val cols = d.select(c).distinct().collect().map(_.get(0).toString.toInt).sorted.toSeq
+        .map(code => code -> s"__oh_${c}_$code")
+      for ((code, name) <- cols)
+        d = d.withColumn(name, (col(c) === code).cast("double"))
+      c -> cols
+    }.toMap
+    (d, codes)
+  }
+
+  /** Scalar-SUM cofactor over [1, feats, rhs*] — (m²+m·r) SUM aggregates:
+    * the m×m matrix over the intercept and `feats`, and per `rhs` column its
+    * m sums against them.
+    */
+  def scalarCofactor(d: DataFrame, feats: Seq[String], rhs: Seq[String]): (Array[Array[Double]], Array[Array[Double]]) = {
+    val fs = lit(1.0) +: feats.map(col(_).cast("double"))
+    val m = fs.length
+    val rs = rhs.map(col(_).cast("double"))
+    val exprs =
+      (for (i <- 0 until m; j <- i until m) yield sum(fs(i) * fs(j))) ++
+        (for (i <- 0 until m; r <- rs) yield sum(fs(i) * r))
+    val row = d.select(exprs: _*).head()
+    val a = Array.ofDim[Double](m, m)
+    var idx = 0
+    for (i <- 0 until m; j <- i until m) {
+      val v = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx)
+      a(i)(j) = v; a(j)(i) = v; idx += 1
+    }
+    val bs = Array.ofDim[Double](rhs.length, m)
+    for (i <- 0 until m; r <- rhs.indices) {
+      bs(r)(i) = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx); idx += 1
+    }
+    (a, bs)
+  }
+
+  /** `a` with every diagonal entry but the intercept's scaled by `1 + lambda`. */
+  def ridge(a: Array[Array[Double]], lambda: Double): Array[Array[Double]] =
+    Array.tabulate(a.length, a.length)((i, j) =>
+      if (i == j && i != 0) a(i)(j) * (1.0 + lambda) else a(i)(j))
 }

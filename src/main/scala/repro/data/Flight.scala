@@ -3,6 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.ring.{CofactorSchema, DimSpec, Stage}
 
 /** Synthetic stand-in for the Flight Delays & Cancellations dataset [51]:
   * three tables (flights fact + airports and carriers dimensions) with
@@ -47,8 +48,7 @@ object Flight {
 
   /** Flights fact table (keys + 7 continuous + 2 categorical attributes). */
   def flights(spark: SparkSession, rows: Long, seed: Long = 303): DataFrame = {
-    val ap = airports(spark, seed + 900).select(
-      col("airport_id"), col("ap_lat"), col("ap_lon"))
+    val (origins, crs) = dimTables(spark, seed)
     val base = spark.range(0, rows).select(
       col("id").as("flight_id"),
       (rand(seed) * NumAirports).cast(IntegerType).as("origin_id"),
@@ -62,9 +62,9 @@ object Flight {
       (rand(seed + 8) * 15 + 3).as("taxiin"),
       rand(seed + 9).as("u_div"),
     )
-    val o = ap.select(col("airport_id").as("origin_id"), col("ap_lat").as("o_lat"), col("ap_lon").as("o_lon"))
-    val d = ap.select(col("airport_id").as("dest_id"), col("ap_lat").as("d_lat"), col("ap_lon").as("d_lon"))
-    val cr = carriers(spark, seed + 901).select(col("carrier_id"), col("cr_speed"))
+    val o = origins.select(col("origin_id"), col("o_lat"), col("o_lon"))
+    val d = origins.select(col("origin_id").as("dest_id"), col("o_lat").as("d_lat"), col("o_lon").as("d_lon"))
+    val cr = crs.select(col("carrier_id"), col("cr_speed"))
     val joined = base.join(o, "origin_id").join(d, "dest_id").join(cr, "carrier_id")
     val dist = sqrt(pow(col("o_lat") - col("d_lat"), 2) + pow(col("o_lon") - col("d_lon"), 2)) * 30.0 +
       col("e_dist") * 10.0 + 100.0
@@ -85,12 +85,35 @@ object Flight {
     )
   }
 
+  /** The dimension rows that the fact generated with `seed` joins: airports
+    * keyed and named as origins, and carriers.
+    */
+  private def dimTables(spark: SparkSession, seed: Long): (DataFrame, DataFrame) =
+    (airports(spark, seed + 900).toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region"),
+      carriers(spark, seed + 901))
+
   /** The denormalized single-table view (fact ⋈ airports ⋈ carriers). */
   def joined(spark: SparkSession, rows: Long, seed: Long = 303): DataFrame = {
-    val f = flights(spark, rows, seed)
-    val o = airports(spark, seed + 900).toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region")
-    val cr = carriers(spark, seed + 901)
-    f.join(o, "origin_id").join(cr, "carrier_id")
+    val (origins, crs) = dimTables(spark, seed)
+    flights(spark, rows, seed).join(origins, "origin_id").join(crs, "carrier_id")
+  }
+
+  /** The star kept normalized (Fig 3, Fig 6): the flights fact with its 7
+    * continuous and 2 categorical attributes, the airports (as origins) and
+    * carriers dimensions, carriers multiplied in per fact row and airports
+    * once per origin group.
+    */
+  def normalized(spark: SparkSession, rows: Long, seed: Long = 303): Normalized = {
+    val (origins, crs) = dimTables(spark, seed)
+    Normalized(flights(spark, rows, seed),
+      CofactorSchema(Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout", "taxiin", "elapsed"),
+        Seq("diverted", "longhaul")),
+      Seq(
+        DimSpec("airports", origins, Seq("origin_id"),
+          CofactorSchema(Seq("o_lat", "o_lon", "o_elev"), Seq("o_region"))),
+        DimSpec("carriers", crs, Seq("carrier_id"),
+          CofactorSchema(Seq("cr_speed", "cr_avg_age"), Seq("cr_alliance")))),
+      Seq(Stage(Seq("carriers"), Seq("origin_id")), Stage(Seq("airports"), Nil)))
   }
 
   /** Continuous attributes of the joined view used in experiments. */

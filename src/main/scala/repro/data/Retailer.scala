@@ -3,6 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.ring.{CofactorSchema, DimSpec, Stage}
 
 /** Synthetic stand-in for the Retailer dataset [64]: a 5-table snowflake —
   * inventory fact (4 attributes) ⋈ location ⋈ census (via zip) ⋈ item ⋈
@@ -68,10 +69,10 @@ object Retailer {
       (rand(seed + 2) * NumItems).cast(IntegerType).as("ksn"),
       randn(seed + 3).as("e_inv"),
     )
-    val loc = location(spark, seed + 901).join(census(spark, seed + 902), "zip")
-      .select(col("locn"), col("population"), col("rgn_sales_idx"))
-    val it = item(spark, seed + 903).select(col("ksn"), col("price"))
-    val w = weather(spark, seed + 904).select(col("locn"), col("dateid"), col("maxtemp"))
+    val (locs, cens, items, weathers) = dimTables(spark, seed)
+    val loc = locs.join(cens, "zip").select(col("locn"), col("population"), col("rgn_sales_idx"))
+    val it = items.select(col("ksn"), col("price"))
+    val w = weathers.select(col("locn"), col("dateid"), col("maxtemp"))
     base.join(loc, "locn").join(it, "ksn").join(w, Seq("locn", "dateid"))
       .select(
         col("locn"), col("dateid"), col("ksn"),
@@ -80,13 +81,41 @@ object Retailer {
       )
   }
 
+  /** The dimension rows that the fact generated with `seed` joins: location,
+    * census, item and weather.
+    */
+  private def dimTables(spark: SparkSession, seed: Long): (DataFrame, DataFrame, DataFrame, DataFrame) =
+    (location(spark, seed + 901), census(spark, seed + 902), item(spark, seed + 903), weather(spark, seed + 904))
+
   /** The denormalized single-table view over the whole snowflake (25 attrs shape). */
-  def joined(spark: SparkSession, rows: Long, seed: Long = 555): DataFrame =
+  def joined(spark: SparkSession, rows: Long, seed: Long = 555): DataFrame = {
+    val (locs, cens, items, weathers) = dimTables(spark, seed)
     inventory(spark, rows, seed)
-      .join(location(spark, seed + 901), "locn")
-      .join(census(spark, seed + 902), "zip")
-      .join(item(spark, seed + 903), "ksn")
-      .join(weather(spark, seed + 904), Seq("locn", "dateid"))
+      .join(locs, "locn")
+      .join(cens, "zip")
+      .join(items, "ksn")
+      .join(weathers, Seq("locn", "dateid"))
+  }
+
+  /** The snowflake kept normalized (Fig 3, Fig 6): the inventory fact with
+    * `inventoryunits`, and location⋈census, item and weather as dimensions
+    * with their continuous and categorical attributes. Item multiplies in
+    * per fact row, weather once per (locn, dateid) group and location⋈census
+    * once per locn group.
+    */
+  def normalized(spark: SparkSession, rows: Long, seed: Long = 555): Normalized = {
+    val (locs, cens, items, weathers) = dimTables(spark, seed)
+    Normalized(inventory(spark, rows, seed), CofactorSchema(Seq("inventoryunits"), Nil),
+      Seq(
+        DimSpec("loc_census", locs.join(cens, "zip"), Seq("locn"),
+          CofactorSchema(Seq("rgn_sales_idx", "population", "medianage", "income"),
+            Seq("clim_zone", "urbanicity"))),
+        DimSpec("item", items, Seq("ksn"), CofactorSchema(Seq("price"), Seq("category", "subcategory"))),
+        DimSpec("weather", weathers, Seq("locn", "dateid"),
+          CofactorSchema(Seq("maxtemp", "mintemp"), Seq("rain", "snow")))),
+      Seq(Stage(Seq("item"), Seq("locn", "dateid")), Stage(Seq("weather"), Seq("locn")),
+        Stage(Seq("loc_census"), Nil)))
+  }
 
   /** Continuous attributes of the joined view used in experiments. */
   val JoinedCont: Seq[String] =

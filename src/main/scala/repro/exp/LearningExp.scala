@@ -1,11 +1,11 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
+import repro.baselines.MiceDirect
 import repro.data.{Flight, Retailer}
 import repro.linalg.LinAlg
 import repro.ml.{LinearRegression, Unpacked}
-import repro.ring.{Cofactor, CofactorSchema, DimSpec, Factorized, Stage}
+import repro.ring.{Cofactor, Factorized}
 import repro.util.Timing
 
 /** Fig 3 — in-database learning: time to train a ridge linear regression over
@@ -27,128 +27,32 @@ object LearningExp {
     def total: Double = joinSecs + aggSecs + trainSecs
   }
 
-  /** Assemble (fact, dims, schemas, target) for a dataset. */
-  private def setup(spark: SparkSession, dataset: String, rows: Long)
-      : (DataFrame, Seq[DimSpec], CofactorSchema, CofactorSchema, String) = dataset match {
-    case "flight" =>
-      val fact = Flight.flights(spark, rows).cache()
-      val airports = Flight.airports(spark, seed = 303 + 900)
-        .toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region").cache()
-      val carriers = Flight.carriers(spark, seed = 303 + 901).cache()
-      fact.count(); airports.count(); carriers.count()
-      val dimsCont = Seq(
-        DimSpec("airports", airports, Seq("origin_id"), CofactorSchema(Seq("o_lat", "o_lon", "o_elev"), Nil)),
-        DimSpec("carriers", carriers, Seq("carrier_id"), CofactorSchema(Seq("cr_speed", "cr_avg_age"), Nil)))
-      val dimsMixed = Seq(
-        DimSpec("airports", airports, Seq("origin_id"),
-          CofactorSchema(Seq("o_lat", "o_lon", "o_elev"), Seq("o_region"))),
-        DimSpec("carriers", carriers, Seq("carrier_id"),
-          CofactorSchema(Seq("cr_speed", "cr_avg_age"), Seq("cr_alliance"))))
-      val factCont = CofactorSchema(
-        Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout", "taxiin", "elapsed"), Nil)
-      val factMixed = CofactorSchema(factCont.cont, Seq("diverted", "longhaul"))
-      (fact, dimsCont ++ dimsMixed.map(d => d.copy(name = d.name + "_mixed")), factCont, factMixed, "airtime")
-    case "retailer" =>
-      val fact = Retailer.inventory(spark, rows).cache()
-      val loc = Retailer.location(spark, seed = 555 + 901)
-        .join(Retailer.census(spark, seed = 555 + 902), "zip").cache()
-      val it = Retailer.item(spark, seed = 555 + 903).cache()
-      val w = Retailer.weather(spark, seed = 555 + 904).cache()
-      fact.count(); loc.count(); it.count(); w.count()
-      val dimsCont = Seq(
-        DimSpec("loc_census", loc, Seq("locn"),
-          CofactorSchema(Seq("rgn_sales_idx", "population", "medianage", "income"), Nil)),
-        DimSpec("item", it, Seq("ksn"), CofactorSchema(Seq("price"), Nil)),
-        DimSpec("weather", w, Seq("locn", "dateid"), CofactorSchema(Seq("maxtemp", "mintemp"), Nil)))
-      val dimsMixed = Seq(
-        DimSpec("loc_census", loc, Seq("locn"),
-          CofactorSchema(Seq("rgn_sales_idx", "population", "medianage", "income"),
-            Seq("clim_zone", "urbanicity"))),
-        DimSpec("item", it, Seq("ksn"), CofactorSchema(Seq("price"), Seq("category", "subcategory"))),
-        DimSpec("weather", w, Seq("locn", "dateid"),
-          CofactorSchema(Seq("maxtemp", "mintemp"), Seq("rain", "snow"))))
-      val factCont = CofactorSchema(Seq("inventoryunits"), Nil)
-      (fact, dimsCont ++ dimsMixed.map(d => d.copy(name = d.name + "_mixed")), factCont, factCont, "inventoryunits")
-    case other => throw new IllegalArgumentException(s"unknown dataset $other")
-  }
-
-  /** Scalar-SUM cofactor + direct solve over a materialized join. */
-  private def scalarTrain(joined: DataFrame, schema: CofactorSchema, target: String): (Double, Double) = {
-    // One-hot expansion for categoricals (the step the ring avoids).
-    var d = joined
-    var oneHotCols = Seq.empty[String]
-    for (c <- schema.cat) {
-      val codes = d.select(c).distinct().collect().map(_.get(0).toString.toInt).sorted
-      for (code <- codes) {
-        val name = s"__oh_${c}_$code"
-        d = d.withColumn(name, (col(c) === code).cast("double"))
-        oneHotCols :+= name
-      }
-    }
-    val feats = lit(1.0) +: (schema.cont.map(col(_).cast("double")) ++ oneHotCols.map(col))
-    val m = feats.length
-    val ((a, b), aggSecs) = Timing.timed {
-      val exprs = for (i <- 0 until m; j <- i until m) yield sum(feats(i) * feats(j))
-      val row = d.select(exprs: _*).head()
-      val mat = Array.ofDim[Double](m, m)
-      var idx = 0
-      for (i <- 0 until m; j <- i until m) {
-        val v = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx)
-        mat(i)(j) = v; mat(j)(i) = v; idx += 1
-      }
-      val tIdx = 1 + schema.cont.indexOf(target)
-      (mat, mat.map(_(tIdx)))
-    }
-    val (_, trainSecs) = Timing.timed {
-      val tIdx = 1 + schema.cont.indexOf(target)
-      val keep = (0 until m).filter(_ != tIdx).toArray
-      val aa = Array.tabulate(keep.length, keep.length)((i, j) =>
-        if (i == j && keep(i) != 0) a(keep(i))(keep(j)) * (1 + 1e-3) else a(keep(i))(keep(j)))
-      LinAlg.solve(aa, keep.map(b))
-    }
-    (aggSecs, trainSecs)
-  }
-
-  /** Variable order for factorized evaluation: narrow dims at the fact level,
-    * wide dims at coarser group levels (§5.1's Example 4 generalized).
-    */
-  private def hierarchyFor(dataset: String, dims: Seq[DimSpec]): Seq[Stage] = dataset match {
-    case "flight" =>
-      val ap = dims.find(_.name.startsWith("airports")).get.name
-      val cr = dims.find(_.name.startsWith("carriers")).get.name
-      Seq(Stage(Seq(cr), Seq("origin_id")), Stage(Seq(ap), Nil))
-    case "retailer" =>
-      val it = dims.find(_.name.startsWith("item")).get.name
-      val w = dims.find(_.name.startsWith("weather")).get.name
-      val lc = dims.find(_.name.startsWith("loc_census")).get.name
-      Seq(Stage(Seq(it), Seq("locn", "dateid")), Stage(Seq(w), Seq("locn")), Stage(Seq(lc), Nil))
-    case other => throw new IllegalArgumentException(s"unknown dataset $other")
-  }
-
   def run(spark: SparkSession, dataset: String, rows: Long): Seq[Row] = {
-    val (fact, allDims, factCont, factMixed, target) = setup(spark, dataset, rows)
-    val (dimsCont, dimsMixed) = allDims.partition(!_.name.endsWith("_mixed"))
+    val (mixed, target) = dataset match {
+      case "flight" => (Flight.normalized(spark, rows).cache(), "airtime")
+      case "retailer" => (Retailer.normalized(spark, rows).cache(), "inventoryunits")
+      case other => throw new IllegalArgumentException(s"unknown dataset $other")
+    }
     val out = Seq.newBuilder[Row]
 
-    for ((attrs, dims, factSchema) <- Seq(
-      ("continuous", dimsCont, factCont),
-      ("cont+categorical", dimsMixed, factMixed))) {
-
-      val combined = dims.map(_.schema).foldLeft(factSchema)(_ ++ _)
+    for ((attrs, data) <- Seq("continuous" -> mixed.continuous, "cont+categorical" -> mixed)) {
+      val combined = data.combined
 
       // Materialize the join once per attrs-mode; both non-factorized
       // approaches pay this cost.
       val (joined, joinSecs) = Timing.timed {
-        val j = dims.foldLeft(fact) { (acc, dm) =>
-          acc.join(dm.df.select((dm.keys ++ dm.schema.cont ++ dm.schema.cat).map(col): _*), dm.keys)
-        }.cache()
+        val j = data.joined.cache()
         j.count()
         j
       }
 
-      // (1) scalar SUM baseline. With categoricals the paper's competitors
-      // could not even run this at scale; we run it to measure the cost.
-      val (aggS, trS) = scalarTrain(joined, combined, target)
+      // (1) scalar SUM baseline, the SystemDS/MADlib simulator's aggregate.
+      // With categoricals the paper's competitors could not even run this at
+      // scale; we run it to measure the cost.
+      val (encoded, codes) = MiceDirect.oneHot(joined, combined.cat)
+      val feats = combined.cont.filter(_ != target) ++ combined.cat.flatMap(codes(_).map(_._2))
+      val ((a, bs), aggS) = Timing.timed(MiceDirect.scalarCofactor(encoded, feats, Seq(target)))
+      val (_, trS) = Timing.timed(LinAlg.solve(MiceDirect.ridge(a, 1e-3), bs(0)))
       out += Row(dataset, attrs, "scalar SUM", joinSecs, aggS, trS)
 
       // (2) ring over the materialized join.
@@ -160,8 +64,8 @@ object LearningExp {
       // (3) ring + factorized: no join materialization; hierarchical order so
       // wide dims multiply once per key group, not once per fact row.
       val (plan, planSecs) = Timing.timed(
-        Factorized.plan(spark, factSchema, dims, hierarchyFor(dataset, dims)))
-      val (ft, factAgg) = Timing.timed(plan.cofactor(fact))
+        Factorized.plan(spark, data.factSchema, data.dims, data.hierarchy))
+      val (ft, factAgg) = Timing.timed(plan.cofactor(data.fact))
       val (_, factTrain) = Timing.timed(
         LinearRegression.train(new Unpacked(plan.combined, ft), target))
       out += Row(dataset, attrs, "ring + fact", 0.0, planSecs + factAgg, factTrain)

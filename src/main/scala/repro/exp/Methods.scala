@@ -29,7 +29,7 @@ object Methods {
 
   /** Mean/mode imputation. */
   def mean: Imputer = (df, schema) => {
-    val (out, secs) = MeanImputer.imputeTimed(Imputation.addMasks(df, schema), schema)
+    val (out, secs) = MeanImputer.imputeTimed(df, schema)
     (Imputation.stripMasks(out, schema), secs)
   }
 

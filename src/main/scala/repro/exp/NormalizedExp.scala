@@ -1,10 +1,8 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.SparkSession
 import repro.data.{Flight, Missingness, Retailer}
 import repro.mice._
-import repro.ring.{CofactorSchema, DimSpec, Stage}
 import repro.util.Timing
 
 /** Fig 6 — imputation over normalized data: the Low implementation over the
@@ -17,80 +15,34 @@ object NormalizedExp {
   final case class Row(dataset: String, rate: Double, approach: String,
                        preprocessSecs: Double, roundSecs: Double)
 
-  /** (fact, dims, fact-side MICE schema) for a dataset. */
-  def normalized(spark: SparkSession, name: String, rows: Long)
-      : (DataFrame, Seq[DimSpec], MiceSchema) = name match {
-    case "flight" =>
-      val fact = Flight.flights(spark, rows).cache()
-      val airports = Flight.airports(spark, seed = 303 + 900)
-        .toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region").cache()
-      val carriers = Flight.carriers(spark, seed = 303 + 901).cache()
-      fact.count(); airports.count(); carriers.count()
-      val dims = Seq(
-        DimSpec("airports", airports, Seq("origin_id"),
-          CofactorSchema(Seq("o_lat", "o_lon", "o_elev"), Seq("o_region"))),
-        DimSpec("carriers", carriers, Seq("carrier_id"),
-          CofactorSchema(Seq("cr_speed", "cr_avg_age"), Seq("cr_alliance"))))
-      val schema = MiceSchema(
-        Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout", "taxiin", "elapsed"),
-        Seq("diverted", "longhaul"),
-        Flight.IncompleteAttrs)
-      (fact, dims, schema)
-    case "retailer" =>
-      val fact = Retailer.inventory(spark, rows).cache()
-      val loc = Retailer.location(spark, seed = 555 + 901)
-        .join(Retailer.census(spark, seed = 555 + 902), "zip").cache()
-      val it = Retailer.item(spark, seed = 555 + 903).cache()
-      val w = Retailer.weather(spark, seed = 555 + 904).cache()
-      fact.count(); loc.count(); it.count(); w.count()
-      val dims = Seq(
-        DimSpec("loc_census", loc, Seq("locn"),
-          CofactorSchema(Seq("rgn_sales_idx", "population", "medianage", "income"),
-            Seq("clim_zone", "urbanicity"))),
-        DimSpec("item", it, Seq("ksn"), CofactorSchema(Seq("price"), Seq("category", "subcategory"))),
-        DimSpec("weather", w, Seq("locn", "dateid"),
-          CofactorSchema(Seq("maxtemp", "mintemp"), Seq("rain", "snow"))))
-      // Retailer's only incomplete fact attribute: inventoryunits (as in Fig 6).
-      val schema = MiceSchema(Seq("inventoryunits"), Nil, Seq("inventoryunits"))
-      (fact, dims, schema)
-    case other => throw new IllegalArgumentException(s"unknown dataset $other")
-  }
-
   def run(spark: SparkSession, name: String, rows: Long, rates: Seq[Double],
           rounds: Int = 1): Seq[Row] = {
-    val (fact, dims, schema) = normalized(spark, name, rows)
+    val (data, targets) = name match {
+      case "flight" => (Flight.normalized(spark, rows).cache(), Flight.IncompleteAttrs)
+      // Retailer's only incomplete fact attribute: inventoryunits (as in Fig 6).
+      case "retailer" => (Retailer.normalized(spark, rows).cache(), Seq("inventoryunits"))
+      case other => throw new IllegalArgumentException(s"unknown dataset $other")
+    }
+    val schema = MiceSchema(data.factSchema.cont, data.factSchema.cat, targets)
     val out = Seq.newBuilder[Row]
     for (rate <- rates) {
-      val holey = Missingness.mcar(fact, schema.targets, rate, seed = 51).cache()
+      val holey = Missingness.mcar(data.fact, schema.targets, rate, seed = 51).cache()
       holey.count()
       val cfg = MiceConfig(iterations = rounds, stochastic = true, seed = 7)
 
       // (a) materialize the join, then run single-table Low over it.
       val (joined, joinSecs) = Timing.timed {
-        val j = dims.foldLeft(holey.toDF()) { (acc, d) =>
-          acc.join(d.df.select((d.keys ++ d.schema.cont ++ d.schema.cat).map(col): _*), d.keys)
-        }.cache()
+        val j = data.join(holey).cache()
         j.count()
         j
       }
-      val joinedSchema = MiceSchema(
-        schema.cont ++ dims.flatMap(_.schema.cont),
-        schema.cat ++ dims.flatMap(_.schema.cat),
-        schema.targets)
-      val mat = MiceLow.impute(joined, joinedSchema, cfg)
+      val mat = MiceLow.impute(joined, MiceSchema(data.combined.cont, data.combined.cat, targets), cfg)
       mat.imputed.count()
       out += Row(name, rate, "materialized join", joinSecs + mat.preprocessSecs,
         mat.roundSecs.sum / mat.roundSecs.size)
 
       // (b) factorized: no join materialization; hierarchical evaluation order.
-      val hierarchy = name match {
-        case "flight" =>
-          Seq(Stage(Seq("carriers"), Seq("origin_id")), Stage(Seq("airports"), Nil))
-        case "retailer" =>
-          Seq(Stage(Seq("item"), Seq("locn", "dateid")), Stage(Seq("weather"), Seq("locn")),
-            Stage(Seq("loc_census"), Nil))
-      }
-      val fct = FactorizedMice.impute(holey, schema, dims, cfg, hierarchy)
+      val fct = FactorizedMice.impute(holey, schema, data.dims, cfg, data.hierarchy)
       fct.imputed.count()
       out += Row(name, rate, "factorized", fct.preprocessSecs,
         fct.roundSecs.sum / fct.roundSecs.size)
@@ -98,7 +50,7 @@ object NormalizedExp {
       joined.unpersist(blocking = false)
       holey.unpersist(blocking = false)
       Methods.clearCaches(spark)
-      fact.cache().count(); dims.foreach(_.df.cache().count())
+      data.cache()
     }
     out.result()
   }

@@ -57,16 +57,19 @@ final class Unpacked(val schema: CofactorSchema, val triple: Triple) {
         m(0)(c) = cnt
         m(c)(c) = cnt // onehot² = onehot
       }
+      // A category that left scat (its count reached 0 under minus) has no
+      // column; its residual qcc and qcatcat entries are skipped.
       i = 0
       while (i < k) {
-        for ((code, v) <- triple.qcc(j * k + i)) m(contCol(i))(catCol(j, code)) = v
+        for ((code, v) <- triple.qcc(j * k + i)) { val c = catCol(j, code); if (c >= 0) m(contCol(i))(c) = v }
         i += 1
       }
       var j2 = j + 1
       while (j2 < l) {
         for ((key, v) <- triple.qcatcat(Triple.catcatIdx(l, j, j2))) {
           val (c1, c2) = Triple.unpairKey(key)
-          m(catCol(j, c1))(catCol(j2, c2)) = v
+          val (r, c) = (catCol(j, c1), catCol(j2, c2))
+          if (r >= 0 && c >= 0) m(r)(c) = v
         }
         j2 += 1
       }

@@ -126,8 +126,9 @@ final class Triple(
   def plus(o: Triple): this.type = combine(o, 1.0)
 
   /** In-place ring subtraction — removes a sub-dataset's contribution
-    * (Algorithm 2, line 6). Entries that cancel to ~0 are dropped so the
-    * relational parts stay compact under repeated maintenance.
+    * (Algorithm 2, line 6). A category whose count reaches 0 leaves `scat`;
+    * its other entries may keep a rounding residue, which [[repro.ml.Unpacked]]
+    * ignores.
     */
   def minus(o: Triple): this.type = combine(o, -1.0)
 
@@ -139,11 +140,11 @@ final class Triple(
     i = 0
     while (i < q.length) { q(i) += w * o.q(i); i += 1 }
     i = 0
-    while (i < scat.length) { mergeMap(scat(i), o.scat(i), w); i += 1 }
+    while (i < scat.length) { mergeCounts(scat(i), o.scat(i), w); i += 1 }
     i = 0
     while (i < qcc.length) { mergeMap(qcc(i), o.qcc(i), w); i += 1 }
     i = 0
-    while (i < qcatcat.length) { mergeMapL(qcatcat(i), o.qcatcat(i), w); i += 1 }
+    while (i < qcatcat.length) { mergeMap(qcatcat(i), o.qcatcat(i), w); i += 1 }
     this
   }
 
@@ -292,27 +293,24 @@ object Triple {
   /** Unpack a Long pair key. */
   def unpairKey(key: Long): (Int, Int) = ((key >> 32).toInt, key.toInt)
 
-  private val DropTol = 1e-9
-
   private[ring] def bump(m: mutable.HashMap[Int, Double], key: Int, v: Double): Unit =
     m.update(key, m.getOrElse(key, 0.0) + v)
 
   private[ring] def bumpL(m: mutable.HashMap[Long, Double], key: Long, v: Double): Unit =
     m.update(key, m.getOrElse(key, 0.0) + v)
 
-  private def mergeMap(dst: mutable.HashMap[Int, Double], src: mutable.HashMap[Int, Double], w: Double): Unit = {
-    for ((key, v) <- src) {
-      val nv = dst.getOrElse(key, 0.0) + w * v
-      if (math.abs(nv) < DropTol) dst.remove(key) else dst.update(key, nv)
-    }
-  }
+  /** `dst += w·src`, entrywise; no entry is dropped by its value. */
+  private def mergeMap[K](dst: mutable.HashMap[K, Double], src: mutable.HashMap[K, Double], w: Double): Unit =
+    for ((key, v) <- src) dst.update(key, dst.getOrElse(key, 0.0) + w * v)
 
-  private def mergeMapL(dst: mutable.HashMap[Long, Double], src: mutable.HashMap[Long, Double], w: Double): Unit = {
+  /** `dst += w·src` over category counts. Counts are integral, so a category
+    * whose count reaches 0 is gone exactly, and leaves the map.
+    */
+  private def mergeCounts(dst: mutable.HashMap[Int, Double], src: mutable.HashMap[Int, Double], w: Double): Unit =
     for ((key, v) <- src) {
       val nv = dst.getOrElse(key, 0.0) + w * v
-      if (math.abs(nv) < DropTol) dst.remove(key) else dst.update(key, nv)
+      if (nv == 0.0) dst.remove(key) else dst.update(key, nv)
     }
-  }
 
   private def copyScaled(src: mutable.HashMap[Int, Double], dst: mutable.HashMap[Int, Double], w: Double): Unit =
     if (w != 0.0) for ((key, v) <- src) bump(dst, key, v * w)

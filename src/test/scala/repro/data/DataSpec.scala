@@ -97,6 +97,21 @@ class DataSpec extends SparkSpec {
     assert(locWithCensus.count() == Retailer.NumLocations)
   }
 
+  // ---- Normalized views ----------------------------------------------------
+
+  test("each normalized dataset joins to exactly the rows of its single-table view") {
+    for ((data, view) <- Seq(
+        Flight.normalized(spark, 3000) -> Flight.joined(spark, 3000),
+        Retailer.normalized(spark, 3000) -> Retailer.joined(spark, 3000))) {
+      val cols = (data.combined.cont ++ data.combined.cat).map(col)
+      val (a, b) = (data.joined.select(cols: _*), view.select(cols: _*))
+      assert(a.count() == 3000 && b.count() == 3000)
+      val (onlyA, onlyB) = (a.exceptAll(b).count(), b.exceptAll(a).count())
+      assert(onlyA == 0 && onlyB == 0,
+        s"${data.dims.map(_.name)}: $onlyA normalized rows and $onlyB view rows have no match")
+    }
+  }
+
   // ---- Air quality ---------------------------------------------------------
 
   test("air quality table has 11 numeric columns") {

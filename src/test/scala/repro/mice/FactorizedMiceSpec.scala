@@ -11,10 +11,9 @@ import repro.ring.{CofactorSchema, DimSpec}
   */
 class FactorizedMiceSpec extends SparkSpec {
 
-  private lazy val flights = Flight.flights(spark, 4000).cache()
-  private lazy val airports = Flight.airports(spark, seed = 303 + 900)
-    .toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region").cache()
-  private lazy val carriers = Flight.carriers(spark, seed = 303 + 901).cache()
+  private lazy val flight = Flight.normalized(spark, 4000).cache()
+  private lazy val flights = flight.fact
+  private lazy val Seq(airports, carriers) = flight.dims.map(_.df)
 
   private val factSchema = MiceSchema(
     cont = Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout"),

@@ -57,6 +57,38 @@ class UnpackedSpec extends AnyFunSuite {
     assert(m(up.catOffsets(0) + 0)(up.catOffsets(1) + 0) == 0.0)
   }
 
+  test("C − ΔC of a whole category unpacks and trains the θ of a recompute") {
+    // Target values offset by 1e8: ΔC's relational sums, added up in another
+    // order than C's two partials, leave a rounding residue after the
+    // subtraction.
+    val rng = new scala.util.Random(7)
+    val rows = Seq.tabulate(600) { i =>
+      val x = rng.nextGaussian()
+      (Array(x, 1e8 + 2.0 * x + 5.0 * (i % 3) + 3.0 * (i % 2) + rng.nextGaussian()), Array(i % 3, i % 2))
+    }
+    def fold(rs: Seq[(Array[Double], Array[Int])]): Triple = {
+      val t = Triple.zero(2, 2)
+      for ((cont, cat) <- rs) t.addRow(cont, cat)
+      t
+    }
+    val (part1, part2) = rows.splitAt(250)
+    val maintained = fold(part1).plus(fold(part2)).minus(fold(rows.filter(_._2(0) == 2).reverse))
+    val rest = rows.filter(_._2(0) != 2)
+    assert(!maintained.scat(0).contains(2) && maintained.qcc(1).contains(2))
+    val sch = CofactorSchema(Seq("x", "y"), Seq("c", "d"))
+    val up = new Unpacked(sch, maintained)
+    assert(up.dicts(0).toSeq == Seq(0, 1))
+    // Direct solves, so that no iteration tolerance enters. The intercept and
+    // the one-hot weights are collinear up to the ridge, so θ is compared
+    // where it is identified: the continuous weight and the predictions.
+    val a = LinearRegression.train(up, "y", cg = false)
+    val b = LinearRegression.train(new Unpacked(sch, fold(rest)), "y", cg = false)
+    assert(a.wCat.map(_.keySet).toSeq == b.wCat.map(_.keySet).toSeq)
+    assert(math.abs(a.wCont(0) - b.wCont(0)) <= 1e-6, s"${a.wCont(0)} vs ${b.wCont(0)}")
+    for ((cont, cat) <- rest)
+      assert(math.abs(a.predict(cont, cat) - b.predict(cont, cat)) <= 1e-5)
+  }
+
   test("arity mismatch between schema and triple is rejected") {
     intercept[IllegalArgumentException](new Unpacked(schema, Triple.zero(2, 1)))
   }

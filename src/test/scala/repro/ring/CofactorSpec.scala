@@ -104,6 +104,19 @@ class CofactorSpec extends SparkSpec {
     assert(one.approxEquals(many))
   }
 
+  test("small-scale relational sums survive the aggregate's merges") {
+    // Each partition's SUM(x) GROUP BY c lies near 1e-10: small in absolute
+    // terms, but nothing to round away.
+    val tiny = flightDf.select((col("distance") * 1e-12).as("x"), col("carrier")).repartition(4)
+    val sch = CofactorSchema(Seq("x"), Seq("carrier"))
+    val fold = Triple.zero(1, 1)
+    for (r <- tiny.collect()) fold.addRow(Array(r.getDouble(0)), Array(r.getInt(1)))
+    val t = Cofactor.triple(tiny, sch)
+    assert(t.qcc(0).keySet == fold.qcc(0).keySet, s"qcc ${t.qcc(0)} vs ${fold.qcc(0)}")
+    for ((c, v) <- fold.qcc(0)) assert(math.abs(t.qcc(0)(c) - v) <= 1e-12 * math.abs(v), s"category $c")
+    assert(t.approxEquals(fold, 1e-12))
+  }
+
   test("registered sum_triple UDAF matches the typed aggregator") {
     Cofactor.registerUdaf(spark, "sum_triple_t", schema.k, schema.l)
     val (c, d) = Cofactor.inputCols(schema)

@@ -10,10 +10,9 @@ import repro.data.{Flight, Retailer}
   */
 class FactorizedSpec extends SparkSpec {
 
-  private lazy val flights = Flight.flights(spark, 3000).cache()
-  private lazy val airports = Flight.airports(spark, seed = 303 + 900)
-    .toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region").cache()
-  private lazy val carriers = Flight.carriers(spark, seed = 303 + 901).cache()
+  private lazy val flight = Flight.normalized(spark, 3000).cache()
+  private lazy val flights = flight.fact
+  private lazy val Seq(airports, carriers) = flight.dims.map(_.df)
 
   private val factSchema = CofactorSchema(Seq("distance", "airtime", "depdelay"), Seq("diverted"))
   private lazy val dims = Seq(
@@ -152,11 +151,9 @@ class FactorizedSpec extends SparkSpec {
       Factorized.plan(spark, factSchema, dims, Seq(Stage(Seq("carriers"), Nil))))
   }
 
-  private lazy val inv = Retailer.inventory(spark, 2000).cache()
-  private lazy val loc = Retailer.location(spark, seed = 555 + 901)
-    .join(Retailer.census(spark, seed = 555 + 902), "zip").cache()
-  private lazy val item = Retailer.item(spark, seed = 555 + 903).cache()
-  private lazy val weather = Retailer.weather(spark, seed = 555 + 904).cache()
+  private lazy val retailer = Retailer.normalized(spark, 2000).cache()
+  private lazy val inv = retailer.fact
+  private lazy val Seq(loc, item, weather) = retailer.dims.map(_.df)
   private val invSchema = CofactorSchema(Seq("inventoryunits"), Nil)
   private lazy val rdims = Seq(
     DimSpec("loc_census", loc, Seq("locn"),
