@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.linalg.LinAlg
 import repro.mice.{Imputation, MiceConfig, MiceResult, MiceSchema}
+import repro.ml.LinearRegression
 import repro.util.Timing
 
 /** Simulator of the paper's external competitors — SystemDS / MADlib MICE and
@@ -15,7 +16,7 @@ import repro.util.Timing
   *  - each (iteration, attribute) computes the cofactor matrix with O(m²)
   *    *scalar* SUM aggregates over the one-hot columns (no compound ring
   *    aggregate, no sharing across attributes or iterations),
-  *  - linear systems are solved with the direct (LU) method, as SystemDS and
+  *  - linear systems are solved directly (`LinAlg.solve`), as SystemDS and
   *    MADlib do,
   *  - categorical targets are imputed by a per-class linear scorer trained on
   *    one-vs-rest indicator regressions (a least-squares surrogate for their
@@ -62,7 +63,7 @@ object MiceDirect {
           val feats = featureCols(t)
           if (schema.isContinuous(t)) {
             val (a, bs) = sw.phase("cofactor")(scalarCofactor(obs, feats, Seq(t)))
-            val theta = sw.phase("train")(LinAlg.solve(ridge(a, cfg.lambda), bs(0)))
+            val theta = sw.phase("train")(LinAlg.solve(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs(0)))
             cur = sw.phase("update") {
               cur.withColumn(t, when(mask, linearExpr(feats, theta)).otherwise(col(t)))
                 .localCheckpoint(true)
@@ -72,7 +73,7 @@ object MiceDirect {
             val classCols = encoded(t)
             val (a, bs) = sw.phase("cofactor")(
               scalarCofactor(obs, feats, classCols.map(_._2)))
-            val thetas = sw.phase("train")(LinAlg.solveMany(ridge(a, cfg.lambda), bs))
+            val thetas = sw.phase("train")(LinAlg.solveMany(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs))
             val scores = classCols.zip(thetas).map { case ((code, _), th) =>
               (code, linearExpr(feats, th))
             }
@@ -137,9 +138,4 @@ object MiceDirect {
     }
     (a, bs)
   }
-
-  /** `a` with every diagonal entry but the intercept's scaled by `1 + lambda`. */
-  def ridge(a: Array[Array[Double]], lambda: Double): Array[Array[Double]] =
-    Array.tabulate(a.length, a.length)((i, j) =>
-      if (i == j && i != 0) a(i)(j) * (1.0 + lambda) else a(i)(j))
 }

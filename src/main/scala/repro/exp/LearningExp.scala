@@ -52,7 +52,7 @@ object LearningExp {
       val (encoded, codes) = MiceDirect.oneHot(joined, combined.cat)
       val feats = combined.cont.filter(_ != target) ++ combined.cat.flatMap(codes(_).map(_._2))
       val ((a, bs), aggS) = Timing.timed(MiceDirect.scalarCofactor(encoded, feats, Seq(target)))
-      val (_, trS) = Timing.timed(LinAlg.solve(MiceDirect.ridge(a, 1e-3), bs(0)))
+      val (_, trS) = Timing.timed(LinAlg.solve(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs(0)))
       out += Row(dataset, attrs, "scalar SUM", joinSecs, aggS, trS)
 
       // (2) ring over the materialized join.

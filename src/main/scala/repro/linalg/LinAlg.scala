@@ -3,17 +3,13 @@ package repro.linalg
 /** Small dense linear algebra used to train models from cofactor matrices.
   *
   * The paper relies on LAPACK for these routines; at our dimensionalities
-  * (m ≤ ~60 after one-hot expansion) a plain LU solve with partial pivoting
-  * and a preconditioned conjugate-gradient solver are numerically adequate
-  * and keep the build dependency-free.
+  * (m ≤ ~60 after one-hot expansion) one diagonally scaled LU solve with
+  * partial pivoting is exact, cheap and keeps the build dependency-free.
   *
   * Matrices are row-major `Array[Array[Double]]`; all routines are pure
   * (inputs are copied before factorization).
   */
 object LinAlg {
-
-  /** Deep copy of a matrix. */
-  def copy(a: Array[Array[Double]]): Array[Array[Double]] = a.map(_.clone())
 
   /** Matrix-vector product `a * x`. */
   def matVec(a: Array[Array[Double]], x: Array[Double]): Array[Double] = {
@@ -49,19 +45,37 @@ object LinAlg {
     }
   }
 
-  /** Solve `A x = b` by LU decomposition with partial pivoting.
+  /** `a` with every diagonal entry but the intercept's (index 0) scaled by
+    * `1 + lambda`: relative ridge, so it does not depend on the units of the
+    * variables, and it makes the collinear one-hot blocks strictly definite.
+    */
+  def ridge(a: Array[Array[Double]], lambda: Double): Array[Array[Double]] =
+    Array.tabulate(a.length, a.length)((i, j) =>
+      if (i == j && i != 0) a(i)(j) * (1.0 + lambda) else a(i)(j))
+
+  /** Solve `A x = b` (see [[solveMany]]).
     *
-    * @throws IllegalArgumentException if `A` is (numerically) singular.
+    * @throws IllegalArgumentException if the scaled `A` is (numerically) singular.
     */
   def solve(a: Array[Array[Double]], b: Array[Double]): Array[Double] =
     solveMany(a, Array(b)).head
 
-  /** Solve `A x_k = b_k` for several right-hand sides sharing one factorization. */
+  /** Solve `A x_k = b_k` for several right-hand sides sharing one LU
+    * factorization with partial pivoting, scale-free: a variable whose row and
+    * column are all zero (a category absent from the training rows) is set to
+    * 0, and the rest is solved as `(D A D) x̂ = D b`, `x = D x̂`, with
+    * `D_ii = 1/√|A_ii|` (1 where `A_ii` is 0), so the pivots and the
+    * singularity test do not depend on the units of a variable.
+    */
   def solveMany(a0: Array[Array[Double]], bs: Array[Array[Double]]): Array[Array[Double]] = {
-    val n = a0.length
-    require(a0.forall(_.length == n), "solve requires a square matrix")
-    require(bs.forall(_.length == n), "rhs length must match matrix dimension")
-    val a = copy(a0)
+    val n0 = a0.length
+    require(a0.forall(_.length == n0), "solve requires a square matrix")
+    require(bs.forall(_.length == n0), "rhs length must match matrix dimension")
+    val live = (0 until n0).filter(i => (0 until n0).exists(j => a0(i)(j) != 0.0 || a0(j)(i) != 0.0)).toArray
+    val n = live.length
+    val d = live.map { i => val v = math.abs(a0(i)(i)); if (v > 0) 1.0 / math.sqrt(v) else 1.0 }
+    val a = Array.ofDim[Double](n, n)
+    for (i <- 0 until n; j <- 0 until n) a(i)(j) = a0(live(i))(live(j)) * d(i) * d(j)
     val perm = Array.tabulate(n)(identity)
     // LU with partial pivoting, in place.
     var k = 0
@@ -85,62 +99,25 @@ object LinAlg {
     bs.map { b =>
       val y = new Array[Double](n)
       var i = 0
-      while (i < n) { // forward substitution on permuted b
-        var s = b(perm(i))
+      while (i < n) { // forward substitution on permuted, scaled b
+        var s = b(live(perm(i))) * d(perm(i))
         var j = 0
         while (j < i) { s -= a(i)(j) * y(j); j += 1 }
         y(i) = s
         i += 1
       }
-      val x = new Array[Double](n)
+      val xh = new Array[Double](n)
       i = n - 1
       while (i >= 0) { // back substitution
         var s = y(i)
         var j = i + 1
-        while (j < n) { s -= a(i)(j) * x(j); j += 1 }
-        x(i) = s / a(i)(i)
+        while (j < n) { s -= a(i)(j) * xh(j); j += 1 }
+        xh(i) = s / a(i)(i)
         i -= 1
       }
+      val x = new Array[Double](n0)
+      for (i <- 0 until n) x(live(i)) = xh(i) * d(i)
       x
     }
-  }
-
-  /** Solve the SPD system `A x = b` by diagonally-preconditioned conjugate
-    * gradient. This is the "gradient descent decoupled from the data" solver
-    * of the paper: each step is O(m²) off the precomputed cofactor matrix.
-    *
-    * Rows/columns with a zero diagonal (categories absent from the training
-    * partition) are frozen at x=0.
-    */
-  def cgSolve(a: Array[Array[Double]], b: Array[Double],
-              maxIter: Int = 500, tol: Double = 1e-10): Array[Double] = {
-    val n = a.length
-    val d = Array.tabulate(n) { i => val v = a(i)(i); if (v > 1e-12) 1.0 / math.sqrt(v) else 0.0 }
-    // Normalized system: Â = D A D, b̂ = D b, x = D x̂ — unit diagonal keeps CG stable.
-    val ah = Array.tabulate(n, n)((i, j) => a(i)(j) * d(i) * d(j))
-    val bh = Array.tabulate(n)(i => b(i) * d(i))
-    val x = new Array[Double](n)
-    val r = bh.clone()
-    val p = bh.clone()
-    var rs = dot(r, r)
-    val rs0 = math.max(rs, 1e-300)
-    var it = 0
-    while (it < maxIter && rs / rs0 > tol * tol) {
-      val ap = matVec(ah, p)
-      val pap = dot(p, ap)
-      if (math.abs(pap) < 1e-300) { it = maxIter } // stagnated (e.g. all-zero system)
-      else {
-        val alpha = rs / pap
-        var i = 0
-        while (i < n) { x(i) += alpha * p(i); r(i) -= alpha * ap(i); i += 1 }
-        val rsNew = dot(r, r)
-        val beta = rsNew / rs
-        i = 0
-        while (i < n) { p(i) = r(i) + beta * p(i); i += 1 }
-        rs = rsNew
-        it += 1
-      }
-    }
-    Array.tabulate(n)(i => x(i) * d(i))
   }
 }

@@ -41,19 +41,25 @@ object Imputation {
   def addMasks(df: DataFrame, schema: MiceSchema): DataFrame =
     schema.targets.foldLeft(df)((d, t) => d.withColumn(schema.maskCol(t), col(t).isNull))
 
-  /** Per-attribute initial guesses: mean for continuous, mode for categorical. */
+  /** Per-attribute initial guesses: mean for continuous, mode for categorical.
+    *
+    * @throws IllegalArgumentException naming a target that has no observed
+    *         value (no model can be trained for it).
+    */
   def initialGuesses(df: DataFrame, schema: MiceSchema): Map[String, Double] = {
+    def observed(t: String, v: Option[Any]): Double =
+      v.getOrElse(throw new IllegalArgumentException(s"target $t has no observed value")).toString.toDouble
     val contTargets = schema.targets.filter(schema.isContinuous)
     val means: Map[String, Double] =
       if (contTargets.isEmpty) Map.empty
       else {
         val row = df.select(contTargets.map(t => avg(col(t)).as(t)): _*).head()
-        contTargets.map(t => t -> Option(row.getAs[Any](t)).fold(0.0)(_.toString.toDouble)).toMap
+        contTargets.map(t => t -> observed(t, Option(row.getAs[Any](t)))).toMap
       }
     val modes: Map[String, Double] = schema.targets.filterNot(schema.isContinuous).map { t =>
       val top = df.filter(col(t).isNotNull).groupBy(col(t)).count()
-        .orderBy(desc("count"), col(t)).head()
-      t -> top.get(0).toString.toDouble
+        .orderBy(desc("count"), col(t)).take(1)
+      t -> observed(t, top.headOption.map(_.get(0)))
     }.toMap
     means ++ modes
   }
@@ -67,12 +73,10 @@ object Imputation {
     }
 
   /** Train the §3 model for `target` from an already-computed triple. */
-  def train(triple: Triple, schema: MiceSchema, target: String, cfg: MiceConfig): AttrModel = {
+  def train(triple: Triple, schema: MiceSchema, target: String): AttrModel = {
     val up = new Unpacked(schema.cofactor, triple)
-    if (schema.isContinuous(target))
-      ContAttrModel(LinearRegression.train(up, target, cfg.lambda, cfg.cg))
-    else
-      CatAttrModel(LDA.train(up, target, cfg.lambda))
+    if (schema.isContinuous(target)) ContAttrModel(LinearRegression.train(up, target))
+    else CatAttrModel(LDA.train(up, target))
   }
 
   /** Deterministic per-(iteration, attribute) noise seed. */

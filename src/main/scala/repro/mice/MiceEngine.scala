@@ -170,7 +170,7 @@ object MiceEngine {
         val models = new Array[AttrModel](nT)
         val seeds = ts.map(Imputation.noiseSeed(cfg, iter, _)).toArray
         for (i <- 0 until nT) {
-          models(i) = sw.phase("train")(Imputation.train(cTrain, src.schema, ts(i), cfg))
+          models(i) = sw.phase("train")(Imputation.train(cTrain, src.schema, ts(i)))
           val next = (i + 1) % nT
           val sel = if (byMissing) Seq((i, true), (next, true)) else Seq((next, false))
           val pass = Pass(i, models.take(i + 1), seeds, sel, cfg.stochastic)

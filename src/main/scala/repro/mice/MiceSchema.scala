@@ -28,20 +28,18 @@ final case class MiceSchema(cont: Seq[String], cat: Seq[String], targets: Seq[St
   def dataCols: Seq[String] = cont ++ cat
 }
 
-/** Knobs shared by all MICE implementations.
+/** Knobs shared by all MICE implementations. Every model is trained with the
+  * fixed ridge `LinearRegression.DefaultLambda` (LDA: its fixed shrinkage) and
+  * one scaled LU solve.
   *
   * @param iterations number of full rounds over all incomplete attributes
   * @param stochastic add N(0, σ²) noise to regression imputations (§3.1);
   *                   switch off to make variants bit-comparable in tests
-  * @param lambda     relative ridge / covariance-shrinkage factor
-  * @param cg         iterative (CG off the cofactor) vs LU direct solve
   * @param seed       base RNG seed; every (iteration, attribute) pair derives
   *                   a distinct deterministic stream from it
   */
 final case class MiceConfig(
     iterations: Int = 5,
     stochastic: Boolean = true,
-    lambda: Double = 1e-3,
-    cg: Boolean = true,
     seed: Long = 42,
 )

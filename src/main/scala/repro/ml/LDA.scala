@@ -53,12 +53,14 @@ final case class LdaModel(
 
 object LDA {
 
-  /** Train LDA for categorical `target` from an unpacked cofactor triple.
-    *
-    * @param lambda relative shrinkage added to Σ's diagonal (keeps the shared
-    *               covariance invertible when one-hot blocks make it singular)
+  /** Shrinkage added to Σ's diagonal, relative to its mean diagonal entry
+    * (keeps the shared covariance invertible when one-hot blocks make it
+    * singular).
     */
-  def train(up: Unpacked, target: String, lambda: Double = 1e-3): LdaModel = {
+  private final val Shrinkage = 1e-3
+
+  /** Train LDA for categorical `target` from an unpacked cofactor triple. */
+  def train(up: Unpacked, target: String): LdaModel = {
     val schema = up.schema
     val k = schema.k
     val jT = schema.catIdx(target)
@@ -104,7 +106,7 @@ object LDA {
     }
     val avgDiag = math.max((0 until fDim).map(i => sigma(i)(i)).sum / math.max(fDim, 1), 1e-12)
     var i = 0
-    while (i < fDim) { sigma(i)(i) += lambda * avgDiag; i += 1 }
+    while (i < fDim) { sigma(i)(i) += Shrinkage * avgDiag; i += 1 }
 
     // a_c = Σ⁻¹ μ_c via one shared LU factorization.
     val aRows = LinAlg.solveMany(sigma, mu)
@@ -135,7 +137,6 @@ object LDA {
   }
 
   /** Convenience: aggregate + train in one call. */
-  def trainOn(df: org.apache.spark.sql.DataFrame, schema: CofactorSchema, target: String,
-              lambda: Double = 1e-3): LdaModel =
-    train(new Unpacked(schema, Cofactor.triple(df, schema)), target, lambda)
+  def trainOn(df: org.apache.spark.sql.DataFrame, schema: CofactorSchema, target: String): LdaModel =
+    train(new Unpacked(schema, Cofactor.triple(df, schema)), target)
 }

@@ -6,9 +6,9 @@ import repro.linalg.LinAlg
 import repro.ring.{Cofactor, CofactorSchema, Triple}
 
 /** Ridge linear regression trained purely from a cofactor triple (§2.2): the
-  * data was scanned once to produce the triple; solving the normal equations
-  * `(A + λD) θ' = b` happens on the driver in O(m²)-per-step time, decoupled
-  * from the dataset size.
+  * data was scanned once to produce the triple; the normal equations
+  * `(A + λD) θ' = b` are solved by one scaled LU factorization of the m×m
+  * cofactor system, decoupled from the dataset size.
   *
   * @param wCat per categorical attribute: category code → weight (codes unseen
   *             at training time contribute 0, i.e. fall back to the intercept)
@@ -56,31 +56,25 @@ final case class RegressionModel(
 
 object LinearRegression {
 
+  /** Relative ridge of every MICE model and of the one-hot baseline. */
+  final val DefaultLambda = 1e-3
+
   /** Train ridge regression for continuous `target` from an unpacked cofactor.
     *
     * Feature columns are the intercept, all other continuous attributes, and
-    * every one-hot category column; ridge scales each diagonal entry by
-    * `(1 + lambda)` (relative regularization — scale-free, and makes the
-    * one-hot-singular system strictly PD). `cg=true` uses the iterative
-    * preconditioned-CG solver (our stand-in for the paper's batch GD off the
-    * cofactor matrix); `cg=false` uses the LU direct solve (as SystemDS/MADlib
-    * do).
+    * every one-hot category column; ridge scales each diagonal entry but the
+    * intercept's by `(1 + lambda)` (`LinAlg.ridge`), and `LinAlg.solve` solves
+    * the system scale-free, as SystemDS and MADlib solve it directly.
     */
-  def train(up: Unpacked, target: String, lambda: Double = 1e-3, cg: Boolean = true): RegressionModel = {
+  def train(up: Unpacked, target: String, lambda: Double = DefaultLambda): RegressionModel = {
     val schema = up.schema
     val tIdx = schema.contIdx(target)
     val tCol = up.contCol(tIdx)
     val m = up.matrix
     val feats = (0 until up.dim).filter(_ != tCol).toArray
-    val a = Array.tabulate(feats.length, feats.length) { (i, j) =>
-      val v = m(feats(i))(feats(j))
-      if (i == j && feats(i) != 0) v * (1.0 + lambda) else v
-    }
+    val a = LinAlg.ridge(Array.tabulate(feats.length, feats.length)((i, j) => m(feats(i))(feats(j))), lambda)
     val b = Array.tabulate(feats.length)(i => m(feats(i))(tCol))
-    val theta =
-      if (up.triple.n < 1) new Array[Double](feats.length)
-      else if (cg) LinAlg.cgSolve(a, b)
-      else LinAlg.solve(a, b)
+    val theta = LinAlg.solve(a, b) // the zero model on an empty triple
 
     // Scatter θ back into per-attribute weights.
     val wCont = new Array[Double](schema.k)
@@ -110,6 +104,6 @@ object LinearRegression {
 
   /** Convenience: aggregate + train in one call. */
   def trainOn(df: org.apache.spark.sql.DataFrame, schema: CofactorSchema, target: String,
-              lambda: Double = 1e-3, cg: Boolean = true): RegressionModel =
-    train(new Unpacked(schema, Cofactor.triple(df, schema)), target, lambda, cg)
+              lambda: Double = DefaultLambda): RegressionModel =
+    train(new Unpacked(schema, Cofactor.triple(df, schema)), target, lambda)
 }

@@ -11,6 +11,10 @@ import repro.ring.{CofactorSchema, Triple}
 final class Unpacked(val schema: CofactorSchema, val triple: Triple) {
   require(triple.k == schema.k && triple.l == schema.l,
     s"triple arity (${triple.k},${triple.l}) does not match schema ($schema)")
+  // A NaN or ∞ input (or a sum that overflowed) would flow into every θ.
+  for (i <- 0 until schema.k)
+    require(triple.s(i).isFinite && triple.qCont(i, i).isFinite,
+      s"continuous attribute ${schema.cont(i)} has a NaN or infinite value (or its sums overflow)")
 
   /** Sorted category dictionary per categorical attribute. */
   val dicts: Array[Array[Int]] = triple.scat.map(_.keysIterator.toArray.sorted)

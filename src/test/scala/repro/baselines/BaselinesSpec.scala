@@ -78,6 +78,17 @@ class BaselinesSpec extends SparkSpec {
     assert(schema.targets.forall(t => r.imputed.filter(col(t).isNull).count() == 0))
   }
 
+  test("MiceDirect imputes when a category occurs only where the target is missing") {
+    // Zone 9 marks exactly the rows missing pm25, so its one-hot column is all
+    // zero over the rows that train pm25's model.
+    val zoned = Missingness.mcar(aq, Seq("pm25"), 0.2, seed = 2)
+      .withColumn("zone", when(col("pm25").isNull, 9).otherwise(col("aqi").cast("int") % 3))
+    val sch = MiceSchema(AirQuality.Columns, Seq("zone"), Seq("pm25"))
+    val r = MiceDirect.impute(zoned, sch, MiceConfig(iterations = 1, stochastic = false))
+    assert(r.imputed.count() == aq.count())
+    assert(r.imputed.filter(col("pm25").isNull || isnan(col("pm25"))).count() == 0)
+  }
+
   // ---- trees and forests ---------------------------------------------------
 
   private def treeData(n: Int): (Array[Array[Double]], Array[Double]) = {

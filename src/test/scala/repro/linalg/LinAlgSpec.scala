@@ -78,34 +78,45 @@ class LinAlgSpec extends AnyFunSuite with PropHelpers {
     assert(a(0).toSeq == Seq(2.0, 1.0) && b.toSeq == Seq(5.0, 10.0))
   }
 
-  test("cgSolve matches the direct solve on SPD systems") {
+  test("solve on a diagonally rescaled SPD system matches the direct solve") {
+    // (S A S)(S⁻¹ x) = S b: scales from 1e-8 to 1e8 must not change x.
+    val scales = Array(1e-8, 1e8, 1.0, 3e-5, 7e4, 1e-3, 2.0, 1e6)
     forAllG(spdGen(8), vecGen(8)) { (a, xTrue) =>
       val b = LinAlg.matVec(a, xTrue)
       val direct = LinAlg.solve(a, b)
-      val cg = LinAlg.cgSolve(a, b)
-      cg.indices.foreach(i => assert(math.abs(cg(i) - direct(i)) < 1e-6,
-        s"cg=${cg.toSeq} direct=${direct.toSeq}"))
+      val scaledA = Array.tabulate(8, 8)((i, j) => a(i)(j) * scales(i) * scales(j))
+      val scaled = LinAlg.solve(scaledA, Array.tabulate(8)(i => b(i) * scales(i)))
+      val x = Array.tabulate(8)(i => scaled(i) * scales(i))
+      x.indices.foreach(i => assert(math.abs(x(i) - direct(i)) < 1e-6,
+        s"scaled=${x.toSeq} direct=${direct.toSeq}"))
     }
   }
 
-  test("cgSolve freezes coordinates with zero diagonal at 0") {
+  test("solve sets a variable whose row and column are zero to 0") {
     // Row/col 1 entirely absent (e.g. an empty one-hot column).
     val a = Array(Array(4.0, 0.0), Array(0.0, 0.0))
-    val x = LinAlg.cgSolve(a, Array(8.0, 0.0))
+    val x = LinAlg.solve(a, Array(8.0, 0.0))
     assert(math.abs(x(0) - 2.0) < 1e-9 && x(1) == 0.0)
   }
 
-  test("cgSolve handles badly scaled diagonals via preconditioning") {
+  test("solve handles badly scaled diagonals") {
     val a = Array(Array(1e8, 1e3), Array(1e3, 2e-2))
     val xTrue = Array(2.0, -3.0)
     val b = LinAlg.matVec(a, xTrue)
-    val x = LinAlg.cgSolve(a, b)
+    val x = LinAlg.solve(a, b)
     assert(math.abs(x(0) - 2.0) < 1e-4 && math.abs(x(1) + 3.0) < 1e-4)
   }
 
-  test("cgSolve on the all-zero system returns zero") {
-    val x = LinAlg.cgSolve(Array.ofDim[Double](3, 3), new Array[Double](3))
+  test("solve on the all-zero system returns zero") {
+    val x = LinAlg.solve(Array.ofDim[Double](3, 3), new Array[Double](3))
     assert(x.forall(_ == 0.0))
+  }
+
+  test("ridge scales every diagonal entry but the intercept's") {
+    val a = Array(Array(4.0, 1.0), Array(1.0, 2.0))
+    val r = LinAlg.ridge(a, 0.5)
+    assert(r(0).toSeq == Seq(4.0, 1.0) && r(1).toSeq == Seq(1.0, 3.0))
+    assert(a(1)(1) == 2.0)
   }
 
   test("solve dimension mismatches are rejected") {

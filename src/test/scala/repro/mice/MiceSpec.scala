@@ -225,6 +225,27 @@ class MiceSpec extends SparkSpec {
     assert(fingerprint(r.imputed) == fingerprint(complete.select(schema.dataCols.map(col): _*)))
   }
 
+  // ---- degenerate inputs ---------------------------------------------------
+
+  test("a categorical target with no observed value is rejected by name") {
+    val none = holey.withColumn("c", lit(null).cast(IntegerType))
+    val e = intercept[IllegalArgumentException](MiceLow.impute(none, schema, cfgDet(1)))
+    assert(e.getMessage.contains("target c"), e.getMessage)
+  }
+
+  test("a continuous target with no observed value is rejected by name") {
+    val none = holey.withColumn("x3", lit(null).cast(DoubleType))
+    val e = intercept[IllegalArgumentException](MiceLow.impute(none, schema, cfgDet(1)))
+    assert(e.getMessage.contains("target x3"), e.getMessage)
+  }
+
+  test("a NaN in a complete continuous attribute is rejected by name") {
+    val x1Min = holey.select(min("x1")).head().getDouble(0)
+    val nan = holey.withColumn("x1", when(col("x1") === x1Min, Double.NaN).otherwise(col("x1")))
+    val e = intercept[IllegalArgumentException](MiceLow.impute(nan, schema, cfgDet(1)))
+    assert(e.getMessage.contains("attribute x1"), e.getMessage)
+  }
+
   private def round4(v: Double): Double = math.rint(v * 1e4) / 1e4
 }
 

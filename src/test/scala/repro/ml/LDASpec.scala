@@ -110,7 +110,7 @@ class LDASpec extends SparkSpec {
   test("shared covariance shrinkage keeps one-hot features solvable") {
     // g one-hot columns are collinear with the intercept-free scatter; with
     // shrinkage the solve must not throw.
-    val m = LDA.trainOn(df, schema, "y", lambda = 1e-3)
+    val m = LDA.trainOn(df, schema, "y")
     assert(m.b.length == 3 && m.b.forall(v => !v.isNaN && !v.isInfinite))
   }
 }

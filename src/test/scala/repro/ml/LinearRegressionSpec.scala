@@ -7,8 +7,8 @@ import repro.SparkSpec
 import repro.ring.{Cofactor, CofactorSchema}
 
 /** Ridge / stochastic linear regression trained from cofactor triples:
-  * parameter recovery, σ² semantics, categorical predictors, the CG-vs-direct
-  * agreement, and the Catalyst prediction column.
+  * parameter recovery, σ² semantics, categorical predictors, invariance to the
+  * scale of a predictor, and the Catalyst prediction column.
   */
 class LinearRegressionSpec extends SparkSpec {
 
@@ -52,13 +52,17 @@ class LinearRegressionSpec extends SparkSpec {
     assert(m.sigma2 > 0.15 && m.sigma2 < 0.40, s"sigma2=${m.sigma2} expected ≈0.25")
   }
 
-  test("CG and direct solvers agree") {
-    val up = new Unpacked(schema, Cofactor.triple(df, schema))
-    val cg = LinearRegression.train(up, "y", lambda = 1e-3, cg = true)
-    val lu = LinearRegression.train(up, "y", lambda = 1e-3, cg = false)
-    assert(math.abs(cg.intercept - lu.intercept) < 1e-4)
-    cg.wCont.indices.foreach(i => assert(math.abs(cg.wCont(i) - lu.wCont(i)) < 1e-4))
-    for ((code, v) <- cg.wCat(0)) assert(math.abs(v - lu.wCat(0)(code)) < 1e-4)
+  test("a predictor scaled by 1e-10 predicts as the unscaled one") {
+    val scale = 1e-10
+    val m = LinearRegression.trainOn(df, schema, "y")
+    val ms = LinearRegression.trainOn(df.withColumn("x1", col("x1") * scale), schema, "y")
+    assert(math.abs(m.wCont(0) - 2.0) < 0.05, s"x1 slope ${m.wCont(0)}")
+    for (r <- df.collect()) {
+      val (x1, x2, c) = (r.getDouble(0), r.getDouble(1), r.getInt(2))
+      val p = m.predict(Array(x1, x2, 0.0), Array(c))
+      val ps = ms.predict(Array(x1 * scale, x2, 0.0), Array(c))
+      assert(math.abs(p - ps) <= 1e-9 * math.max(math.abs(p), math.abs(ps)), s"$p vs $ps at x1=$x1")
+    }
   }
 
   test("in-sample predictions have low error") {

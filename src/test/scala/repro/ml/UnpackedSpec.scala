@@ -78,11 +78,11 @@ class UnpackedSpec extends AnyFunSuite {
     val sch = CofactorSchema(Seq("x", "y"), Seq("c", "d"))
     val up = new Unpacked(sch, maintained)
     assert(up.dicts(0).toSeq == Seq(0, 1))
-    // Direct solves, so that no iteration tolerance enters. The intercept and
-    // the one-hot weights are collinear up to the ridge, so θ is compared
-    // where it is identified: the continuous weight and the predictions.
-    val a = LinearRegression.train(up, "y", cg = false)
-    val b = LinearRegression.train(new Unpacked(sch, fold(rest)), "y", cg = false)
+    // The intercept and the one-hot weights are collinear up to the ridge, so
+    // θ is compared where it is identified: the continuous weight and the
+    // predictions.
+    val a = LinearRegression.train(up, "y")
+    val b = LinearRegression.train(new Unpacked(sch, fold(rest)), "y")
     assert(a.wCat.map(_.keySet).toSeq == b.wCat.map(_.keySet).toSeq)
     assert(math.abs(a.wCont(0) - b.wCont(0)) <= 1e-6, s"${a.wCont(0)} vs ${b.wCont(0)}")
     for ((cont, cat) <- rest)
