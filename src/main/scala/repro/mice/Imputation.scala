@@ -41,27 +41,25 @@ object Imputation {
   def addMasks(df: DataFrame, schema: MiceSchema): DataFrame =
     schema.targets.foldLeft(df)((d, t) => d.withColumn(schema.maskCol(t), col(t).isNull))
 
-  /** Per-attribute initial guesses: mean for continuous, mode for categorical.
+  /** Per-target initial guesses, in one aggregate: the mean for a
+    * continuous target, the most frequent code for a categorical one (the
+    * lowest code on a tie).
     *
-    * @throws IllegalArgumentException naming a target that has no observed
-    *         value (no model can be trained for it).
+    * @throws IllegalArgumentException naming an attribute that is not a
+    *         target and has a null (only targets may be missing), or a target
+    *         that has no observed value (no model can be trained for it).
     */
   def initialGuesses(df: DataFrame, schema: MiceSchema): Map[String, Double] = {
-    def observed(t: String, v: Option[Any]): Double =
-      v.getOrElse(throw new IllegalArgumentException(s"target $t has no observed value")).toString.toDouble
-    val contTargets = schema.targets.filter(schema.isContinuous)
-    val means: Map[String, Double] =
-      if (contTargets.isEmpty) Map.empty
-      else {
-        val row = df.select(contTargets.map(t => avg(col(t)).as(t)): _*).head()
-        contTargets.map(t => t -> observed(t, Option(row.getAs[Any](t)))).toMap
-      }
-    val modes: Map[String, Double] = schema.targets.filterNot(schema.isContinuous).map { t =>
-      val top = df.filter(col(t).isNotNull).groupBy(col(t)).count()
-        .orderBy(desc("count"), col(t)).take(1)
-      t -> observed(t, top.headOption.map(_.get(0)))
+    val ts = schema.targets
+    val others = schema.dataCols.filterNot(ts.contains)
+    val row = df.select(ts.map(t => if (schema.isContinuous(t)) avg(col(t)) else mode(col(t), deterministic = true)) ++
+      others.map(c => count(when(col(c).isNull, 1))): _*).head()
+    for ((c, i) <- others.zipWithIndex if row.getLong(ts.size + i) > 0)
+      throw new IllegalArgumentException(s"attribute $c has a null value; only targets may be missing")
+    ts.zipWithIndex.map { case (t, i) =>
+      if (row.isNullAt(i)) throw new IllegalArgumentException(s"target $t has no observed value")
+      t -> row.getAs[Number](i).doubleValue
     }.toMap
-    means ++ modes
   }
 
   /** Replace nulls in every target with its initial guess (Algorithm 1/2, line 1). */

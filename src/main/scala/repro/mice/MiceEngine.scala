@@ -4,13 +4,14 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
-import repro.ring.{Cofactor, DimSpec, Stage, Triple}
+import repro.ring.{DimSpec, Factorized, Stage, Triple}
 import repro.util.Timing
 
 /** Outcome of a MICE run, with the timing split the paper reports in Fig 4–6:
   * one-off preprocessing vs per-round iteration cost, plus a named phase
-  * breakdown (Fig 5): `dim_partials` (factorized only), `init_cofactor`,
-  * `train` and `update`.
+  * breakdown (Fig 5): `dim_partials` (collecting the dimensions; near zero
+  * and no Spark job for a single table), `init_cofactor`, `train` and
+  * `update`.
   */
 final case class MiceResult(
     imputed: DataFrame,
@@ -46,22 +47,6 @@ object Partitioning {
   case object ByObserved extends Partitioning
 }
 
-/** Where [[MiceEngine]]'s cofactor triples come from. */
-sealed trait Backend
-
-object Backend {
-
-  /** `Cofactor.triple` over the table's own rows. */
-  case object Flat extends Backend
-
-  /** The table is the fact side of a join (§5): the complete rows' triple
-    * comes from a hierarchical [[repro.ring.Factorized.Plan]] over `dims`;
-    * the rewritten rows are enriched with the dimension attributes once, so
-    * their triples and predictions read the joined row.
-    */
-  final case class Factorized(dims: Seq[DimSpec], hierarchy: Seq[Stage]) extends Backend
-}
-
 /** The one MICE driver. The rows it rewrites are held as one locally
   * checkpointed RDD of columnar [[Block]]s; per round and target it trains on
   * the driver from triples already in hand, then runs one fused pass — one
@@ -70,16 +55,6 @@ object Backend {
   * rows with every target missing.
   */
 object MiceEngine {
-
-  /** An opened [[Backend]]: training layout, triple of the complete rows,
-    * enrichment of the rewritten rows, output columns.
-    */
-  private final case class Source(
-      schema: MiceSchema,
-      fixedTriple: DataFrame => Triple,
-      enrich: DataFrame => DataFrame,
-      outCols: Seq[String],
-  )
 
   /** Block-column indices: of the cofactor attributes in schema order, and
     * per target its column and its slot among the continuous or categorical
@@ -99,18 +74,24 @@ object MiceEngine {
 
   private val HashCol = "__row_hash"
 
-  def impute(df0: DataFrame, schema: MiceSchema, cfg: MiceConfig,
-             partitioning: Partitioning, backend: Backend = Backend.Flat): MiceResult = {
+  /** Impute `schema.targets` of `df0` over a plan with `dims` (§5; none for
+    * a single table). The rewritten rows are enriched with the dimension
+    * attributes once. The output holds `df0`'s own columns, or only
+    * `schema.dataCols` for a single table.
+    */
+  def impute(df0: DataFrame, schema: MiceSchema, cfg: MiceConfig, partitioning: Partitioning,
+             dims: Seq[DimSpec] = Nil, hierarchy: Seq[Stage] = Nil): MiceResult = {
     val sw = new Timing.StopWatch
     val ts = schema.targets
     val nT = ts.size
     val byMissing = partitioning == Partitioning.ByMissing
+    val outCols = if (dims.isEmpty) schema.dataCols else df0.columns.toSeq
     for (t <- ts) require(Vec.imputable.contains(df0.schema(t).dataType),
       s"target $t has type ${df0.schema(t).dataType}; MICE imputes numeric columns only")
 
     var fixed: Option[DataFrame] = None
     var blocks: RDD[Block] = null
-    var src: Source = null
+    var fs: MiceSchema = null
     var lay: Layout = null
     // The triple of `fixed`, and the triple the next target trains on.
     var base: Triple = null
@@ -121,23 +102,14 @@ object MiceEngine {
       val l = lay
       blocks = from.map(step(_, l, p)).localCheckpoint()
       val parts = blocks.sparkContext.runJob(blocks, (it: Iterator[Block]) => it.map(_.triples).toArray).flatten
-      val cof = src.schema.cofactor
+      val cof = fs.cofactor
       p.sel.indices.map(j => parts.foldLeft(Triple.zero(cof.k, cof.l))((acc, ts) => acc.plus(ts(j)))).toArray
     }
 
     val (_, prepSecs) = Timing.timed {
-      src = backend match {
-        case Backend.Flat =>
-          Source(schema, Cofactor.triple(_, schema.cofactor), identity, schema.dataCols)
-        case Backend.Factorized(dims, hierarchy) =>
-          val plan = sw.phase("dim_partials") {
-            repro.ring.Factorized.plan(df0.sparkSession, schema.cofactor, dims, hierarchy)
-          }
-          Source(MiceSchema(plan.combined.cont, plan.combined.cat, ts),
-            plan.cofactor(_, hierarchical = true), plan.enrich, df0.columns.toSeq)
-      }
-      val fs = src.schema
-      val blockCols = src.outCols ++ fs.dataCols.filterNot(src.outCols.contains)
+      val plan = sw.phase("dim_partials")(Factorized.plan(df0.sparkSession, schema.cofactor, dims, hierarchy))
+      fs = MiceSchema(plan.combined.cont, plan.combined.cat, ts)
+      val blockCols = outCols ++ fs.dataCols.filterNot(outCols.contains)
       lay = Layout(fs.cont.map(blockCols.indexOf).toArray, fs.cat.map(blockCols.indexOf).toArray,
         ts.map(blockCols.indexOf).toArray,
         ts.map(t => if (fs.isContinuous(t)) fs.cont.indexOf(t) else fs.cat.indexOf(t)).toArray,
@@ -146,7 +118,7 @@ object MiceEngine {
       val guesses = Imputation.initialGuesses(df0, schema)
       val anyMissing = ts.map(t => col(t).isNull).reduce(_ || _)
       val hashed = df0.withColumn(HashCol, xxhash64(df0.columns.toSeq.map(col): _*))
-      val rewritten = src.enrich(if (partitioning == Partitioning.None) hashed else hashed.filter(anyMissing))
+      val rewritten = plan.enrich(if (partitioning == Partitioning.None) hashed else hashed.filter(anyMissing))
         .select((blockCols :+ HashCol).map(col): _*)
       val types = blockCols.map(c => rewritten.schema(c).dataType).toArray
       val targetCols = lay.col
@@ -156,9 +128,9 @@ object MiceEngine {
         base =
           if (partitioning == Partitioning.None) Triple.zero(fs.cofactor.k, fs.cofactor.l)
           else {
-            val f = df0.filter(!anyMissing).select(src.outCols.map(col): _*).localCheckpoint(false)
+            val f = df0.filter(!anyMissing).select(outCols.map(col): _*).localCheckpoint(false)
             fixed = Some(f)
-            src.fixedTriple(f)
+            plan.cofactor(f)
           }
         val built = rewritten.rdd.mapPartitions(it => Iterator(Block.build(it.toArray, types, targetCols, guessArr)))
         cTrain = advance(Pass(-1, Array.empty, Array.empty, Seq((0, false)), cfg.stochastic), built)(0).plus(base)
@@ -170,7 +142,7 @@ object MiceEngine {
         val models = new Array[AttrModel](nT)
         val seeds = ts.map(Imputation.noiseSeed(cfg, iter, _)).toArray
         for (i <- 0 until nT) {
-          models(i) = sw.phase("train")(Imputation.train(cTrain, src.schema, ts(i)))
+          models(i) = sw.phase("train")(Imputation.train(cTrain, fs, ts(i)))
           val next = (i + 1) % nT
           val sel = if (byMissing) Seq((i, true), (next, true)) else Seq((next, false))
           val pass = Pass(i, models.take(i + 1), seeds, sel, cfg.stochastic)
@@ -182,9 +154,9 @@ object MiceEngine {
     }
 
     val spark = df0.sparkSession
-    val outIdx = src.outCols.indices.toArray
+    val outIdx = outCols.indices.toArray
     val rewrittenOut = spark.createDataFrame(blocks.flatMap(_.rows(outIdx)),
-      StructType(src.outCols.map(df0.schema(_))))
+      StructType(outCols.map(df0.schema(_))))
     val out = fixed.fold(rewrittenOut)(_.unionByName(rewrittenOut))
     MiceResult(out, prepSecs, roundSecs, sw.snapshot)
   }

@@ -35,5 +35,5 @@ object MiceHigh {
 object FactorizedMice {
   def impute(fact0: DataFrame, schema: MiceSchema, dims: Seq[DimSpec],
              cfg: MiceConfig = MiceConfig(), hierarchy: Seq[Stage] = Nil): MiceResult =
-    MiceEngine.impute(fact0, schema, cfg, Partitioning.ByMissing, Backend.Factorized(dims, hierarchy))
+    MiceEngine.impute(fact0, schema, cfg, Partitioning.ByMissing, dims, hierarchy)
 }

@@ -53,9 +53,12 @@ final case class LdaModel(
 
 object LDA {
 
-  /** Shrinkage added to Σ's diagonal, relative to its mean diagonal entry
-    * (keeps the shared covariance invertible when one-hot blocks make it
-    * singular).
+  /** Σ's diagonal grows by this fraction of each feature's total variance
+    * `Q_ii/N − (s_i/N)²`: LDA does not depend on the units of a feature, the
+    * one-hot blocks become strictly definite, and a copy of the target keeps a
+    * finite weight. A feature whose total variance is at rounding level (at
+    * most 1e-12 of its second moment) is constant; its row and column are
+    * zeroed, and the solve gives it weight 0.
     */
   private final val Shrinkage = 1e-3
 
@@ -104,9 +107,15 @@ object LDA {
       LinAlg.addOuter(sigma, mu(ci), mu(ci), -nC(ci) / n)
       ci += 1
     }
-    val avgDiag = math.max((0 until fDim).map(i => sigma(i)(i)).sum / math.max(fDim, 1), 1e-12)
     var i = 0
-    while (i < fDim) { sigma(i)(i) += Shrinkage * avgDiag; i += 1 }
+    while (i < fDim) {
+      val second = m(featCols(i))(featCols(i)) / n
+      val mean = m(0)(featCols(i)) / n
+      val total = second - mean * mean
+      if (total > 1e-12 * second) sigma(i)(i) += Shrinkage * total
+      else for (j <- 0 until fDim) { sigma(i)(j) = 0.0; sigma(j)(i) = 0.0 }
+      i += 1
+    }
 
     // a_c = Σ⁻¹ μ_c via one shared LU factorization.
     val aRows = LinAlg.solveMany(sigma, mu)

@@ -27,7 +27,8 @@ final case class CofactorSchema(cont: Seq[String], cat: Seq[String]) {
 }
 
 /** The paper's `SUM_TRIPLE` aggregate as a Spark typed [[Aggregator]] over
-  * `(continuous, categorical)` rows ([[Cofactor.inputCols]]): each row is
+  * `(continuous, categorical)` rows ([[Cofactor.inputCols]]), behind the
+  * SQL-callable `sum_triple` UDAF ([[Cofactor.registerUdaf]]): each row is
   * folded in by the fused lift-and-add [[Triple.addRow]], and buffers merge
   * by ring +. Buffers and the result are Java-serialized — triples are tiny
   * relative to the data; as a column the result is a binary that
@@ -45,9 +46,10 @@ final class TripleAggregator(k: Int, l: Int) extends Aggregator[(Array[Double], 
 /** Computation of cofactor triples over DataFrames. */
 object Cofactor {
 
-  /** Column pair (continuous array, categorical array) feeding [[TripleAggregator]].
-    * Continuous attrs are cast to double, categorical to int; nulls must have
-    * been imputed upstream (MICE always aggregates the imputed dataset X̃).
+  /** Column pair (continuous array, categorical array) of `schema`'s
+    * attributes, the input of [[TripleAggregator]] and of the models'
+    * prediction columns. Continuous attrs are cast to double, categorical to
+    * int.
     */
   def inputCols(schema: CofactorSchema): (Column, Column) = {
     val c =
@@ -62,13 +64,13 @@ object Cofactor {
   private val pairEncoder: Encoder[(Array[Double], Array[Int])] =
     Encoders.tuple(ExprEncoders.doubleArray, ExprEncoders.intArray)
 
-  /** One-pass cofactor triple of `df` under `schema` (SELECT SUM_TRIPLE(…) FROM df). */
-  def triple(df: DataFrame, schema: CofactorSchema): Triple = {
-    val (c, d) = inputCols(schema)
-    val rows = df.select(c.as("c"), d.as("d")).as(pairEncoder)
-      .select(new TripleAggregator(schema.k, schema.l).toColumn).collect()
-    if (rows.isEmpty) Triple.zero(schema.k, schema.l) else rows.head
-  }
+  /** One-pass cofactor triple of `df` under `schema` (SELECT SUM_TRIPLE(…)
+    * FROM df): a single table is a join with no dimensions, so this is the
+    * one shuffle-free Spark job of [[Factorized.Plan.cofactor]]. The
+    * attributes must hold no null (MICE aggregates the imputed dataset X̃).
+    */
+  def triple(df: DataFrame, schema: CofactorSchema): Triple =
+    Factorized.plan(df.sparkSession, schema, Nil).cofactor(df)
 
   /** Register the untyped `sum_triple(contArray, catArray) -> binary` UDAF in
     * `spark` for the given arity, under `name`. The binary payload is a

@@ -2,9 +2,11 @@ package repro
 
 import org.apache.spark.TestBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.call_udf
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.ring.{Cofactor, CofactorSchema, Triple}
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -55,5 +57,16 @@ object SparkSpec {
     try thunk
     finally { sc.clearJobGroup(); TestBus.drain(sc); sc.removeSparkListener(listener) }
     started.get
+  }
+
+  /** The cofactor triple of `df` under `schema` from the `sum_triple` UDAF
+    * (the typed `Aggregator`), a reference independent of the evaluator
+    * behind `Cofactor.triple` and `Plan.cofactor`.
+    */
+  def sumTriple(df: DataFrame, schema: CofactorSchema): Triple = {
+    val name = s"sum_triple_${schema.k}_${schema.l}"
+    if (!df.sparkSession.catalog.functionExists(name)) Cofactor.registerUdaf(df.sparkSession, name, schema.k, schema.l)
+    val (c, d) = Cofactor.inputCols(schema)
+    Triple.fromBytes(df.select(call_udf(name, c, d)).head().getAs[Array[Byte]](0))
   }
 }

@@ -89,6 +89,18 @@ class BaselinesSpec extends SparkSpec {
     assert(r.imputed.filter(col("pm25").isNull || isnan(col("pm25"))).count() == 0)
   }
 
+  test("MiceDirect, MissForestLite and MeanImputer reject a null in an attribute that is not a target") {
+    val sch = MiceSchema(AirQuality.Columns, Nil, Seq("pm25"))
+    val pm10Holey = Missingness.mcar(Missingness.mcar(aq, Seq("pm10"), 0.1, seed = 5), Seq("pm25"), 0.2, seed = 6)
+    for ((name, impute) <- Seq[(String, () => Any)](
+      "MiceDirect" -> (() => MiceDirect.impute(pm10Holey, sch, MiceConfig(iterations = 1, stochastic = false))),
+      "MissForestLite" -> (() => MissForestLite.impute(pm10Holey, sch, MissForestLite.Config(iterations = 1))),
+      "MeanImputer" -> (() => MeanImputer.impute(pm10Holey, sch)))) {
+      val e = intercept[IllegalArgumentException](impute())
+      assert(e.getMessage.contains("attribute pm10"), s"$name: ${e.getMessage}")
+    }
+  }
+
   // ---- trees and forests ---------------------------------------------------
 
   private def treeData(n: Int): (Array[Array[Double]], Array[Double]) = {

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.data.Missingness
+import repro.data.{Flight, Missingness}
 
 /** End-to-end MICE tests: init imputation (oracle-checked), completeness,
   * quality vs mean imputation, and the Baseline ≡ Low ≡ High equivalence that
@@ -49,6 +49,13 @@ class MiceSpec extends SparkSpec {
     val counts = holey.filter(col("c").isNotNull).groupBy("c").count().collect()
       .map(r => r.getInt(0) -> r.getLong(1)).toMap
     assert(g("c").toInt == counts.maxBy(_._2)._1)
+  }
+
+  test("the initial guess of a categorical target breaks a tie towards the lower code") {
+    import spark.implicits._
+    val tied = Seq((1.0, Some(3)), (2.0, Some(3)), (3.0, None), (4.0, Some(1)), (5.0, Some(1)), (6.0, Some(2)))
+      .toDF("x", "c").repartition(3)
+    assert(Imputation.initialGuesses(tied, MiceSchema(Seq("x"), Seq("c"), Seq("c")))("c") == 1.0)
   }
 
   test("initImpute leaves no nulls and preserves observed values") {
@@ -138,6 +145,18 @@ class MiceSpec extends SparkSpec {
       val perRound = MiceSpec.jobsPerRound(spark)(iters => impute(holey, schema, cfgDet(iters)))
       assert(perRound <= schema.targets.size, s"$perRound jobs per round")
     }
+  }
+
+  test("preprocessing runs at most 3 Spark jobs for Baseline and 4 for Low and High") {
+    val fSchema = MiceSchema(Flight.JoinedCont, Flight.JoinedCat, Flight.IncompleteAttrs)
+    val fHoley = Missingness.mcar(Flight.joined(spark, 2000), fSchema.targets, 0.1, seed = 3).cache()
+    fHoley.count()
+    for ((name, impute, most) <- Seq(("Baseline", MiceBaseline.impute _, 3), ("Low", MiceLow.impute _, 4),
+      ("High", MiceHigh.impute _, 4))) {
+      val jobs = SparkSpec.jobsOf(spark)(impute(fHoley, fSchema, cfgDet(0)))
+      assert(jobs <= most, s"$name: $jobs jobs")
+    }
+    fHoley.unpersist()
   }
 
   test("MICE recovers correlated values far better than mean imputation") {
@@ -244,6 +263,15 @@ class MiceSpec extends SparkSpec {
     val nan = holey.withColumn("x1", when(col("x1") === x1Min, Double.NaN).otherwise(col("x1")))
     val e = intercept[IllegalArgumentException](MiceLow.impute(nan, schema, cfgDet(1)))
     assert(e.getMessage.contains("attribute x1"), e.getMessage)
+  }
+
+  test("a null in an attribute that is not a target is rejected by name") {
+    val x1Min = holey.select(min("x1")).head().getDouble(0)
+    val nul = holey.withColumn("x1", when(col("x1") =!= x1Min, col("x1")))
+    for (impute <- Seq(MiceBaseline.impute _, MiceLow.impute _, MiceHigh.impute _)) {
+      val e = intercept[IllegalArgumentException](impute(nul, schema, cfgDet(1)))
+      assert(e.getMessage.contains("attribute x1"), e.getMessage)
+    }
   }
 
   private def round4(v: Double): Double = math.rint(v * 1e4) / 1e4

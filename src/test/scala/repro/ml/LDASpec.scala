@@ -113,4 +113,36 @@ class LDASpec extends SparkSpec {
     val m = LDA.trainOn(df, schema, "y")
     assert(m.b.length == 3 && m.b.forall(v => !v.isNaN && !v.isInfinite))
   }
+
+  test("a predictor scaled by 1e-6 and another by 1e4 give the classes of the unscaled data") {
+    val ref = LDA.trainOn(df, schema, "y")
+    val m = LDA.trainOn(df.withColumn("x1", col("x1") * 1e-6).withColumn("x2", col("x2") * 1e4), schema, "y")
+    val rows = df.collect()
+    val differ = rows.count { r =>
+      val cat = Array(r.getInt(2), r.getInt(3))
+      ref.predict(Array(r.getDouble(0), r.getDouble(1)), cat) !=
+        m.predict(Array(r.getDouble(0) * 1e-6, r.getDouble(1) * 1e4), cat)
+    }
+    assert(differ == 0, s"$differ of ${rows.length} predictions differ")
+  }
+
+  test("a categorical predictor that copies the target predicts it") {
+    val copy = df.withColumn("g", col("y"))
+    val m = LDA.trainOn(copy, schema, "y")
+    val acc = copy.withColumn("p", m.predictColumn)
+      .select(avg((col("p") === col("y")).cast("double"))).head().getDouble(0)
+    assert(acc > 0.99, s"accuracy=$acc")
+  }
+
+  test("a constant predictor gets weight 0 and changes no prediction") {
+    val m = LDA.trainOn(df.withColumn("x1", lit(1e3)), schema, "y")
+    val without = LDA.trainOn(df, CofactorSchema(Seq("x2"), Seq("g", "y")), "y")
+    assert(m.aCont.forall(_(0) == 0.0))
+    val rows = df.collect()
+    val differ = rows.count { r =>
+      val cat = Array(r.getInt(2), r.getInt(3))
+      m.predict(Array(1e3, r.getDouble(1)), cat) != without.predict(Array(r.getDouble(1)), cat)
+    }
+    assert(differ == 0, s"$differ of ${rows.length} predictions differ")
+  }
 }

@@ -117,7 +117,7 @@ class CofactorSpec extends SparkSpec {
     assert(t.approxEquals(fold, 1e-12))
   }
 
-  test("registered sum_triple UDAF matches the typed aggregator") {
+  test("registered sum_triple UDAF matches Cofactor.triple") {
     Cofactor.registerUdaf(spark, "sum_triple_t", schema.k, schema.l)
     val (c, d) = Cofactor.inputCols(schema)
     val bytes = flightDf.select(call_udf("sum_triple_t", c, d)).head().getAs[Array[Byte]](0)

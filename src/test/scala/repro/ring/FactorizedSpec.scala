@@ -50,7 +50,7 @@ class FactorizedSpec extends SparkSpec {
     val fact = Seq((0, 2, 1.0), (1, 1, 3.0)).toDF("a", "b", "y")
     val plan = Factorized.plan(spark, CofactorSchema(Seq("y"), Nil), Seq(DimSpec("small", small, Seq("a", "b"), sch)))
     val t = plan.cofactor(fact)
-    assert(t.approxEquals(Cofactor.triple(fact.join(small, Seq("a", "b")), plan.combined), 1e-12))
+    assert(t.approxEquals(SparkSpec.sumTriple(fact.join(small, Seq("a", "b")), plan.combined), 1e-12))
     assert(t.n == 1.0 && t.s(1) == 8.0)
   }
 
@@ -58,7 +58,7 @@ class FactorizedSpec extends SparkSpec {
     val dangling = flights.withColumn("origin_id",
       when(col("flight_id") === 0, lit(Flight.NumAirports + 5)).otherwise(col("origin_id")))
     val plan = Factorized.plan(spark, factSchema, dims, flightHier)
-    val mat = Cofactor.triple(dangling.join(airports, "origin_id").join(carriers, "carrier_id"), plan.combined)
+    val mat = SparkSpec.sumTriple(dangling.join(airports, "origin_id").join(carriers, "carrier_id"), plan.combined)
     assert(mat.n == flights.count() - 1)
     for (h <- Seq(true, false)) {
       val t = plan.cofactor(dangling, hierarchical = h)
@@ -73,13 +73,15 @@ class FactorizedSpec extends SparkSpec {
       val jobs = SparkSpec.jobsOf(spark)(plan.cofactor(flights, hierarchical = h))
       assert(jobs == 1, s"hierarchical=$h: $jobs jobs")
     }
+    val flat = SparkSpec.jobsOf(spark)(Cofactor.triple(flights, factSchema))
+    assert(flat == 1, s"Cofactor.triple: $flat jobs")
   }
 
   test("factorized cofactor equals the triple over the materialized join") {
     val plan = Factorized.plan(spark, factSchema, dims)
     val fact = plan.cofactor(flights)
     val joined = flights.join(airports, "origin_id").join(carriers, "carrier_id")
-    val mat = Cofactor.triple(joined, plan.combined)
+    val mat = SparkSpec.sumTriple(joined, plan.combined)
     assert(fact.approxEquals(mat, 1e-5), s"fact.n=${fact.n} mat.n=${mat.n}")
   }
 
@@ -135,7 +137,7 @@ class FactorizedSpec extends SparkSpec {
       Seq("distance", "airtime", "depdelay", "cr_speed", "cr_avg_age", "o_lat", "o_elev"))
     val hT = hPlan.cofactor(flights)
     val joined = flights.join(airports, "origin_id").join(carriers, "carrier_id")
-    val mat = Cofactor.triple(joined, hPlan.combined)
+    val mat = SparkSpec.sumTriple(joined, hPlan.combined)
     assert(hT.approxEquals(mat, 1e-5), s"hier.n=${hT.n} mat.n=${mat.n}")
   }
 
@@ -169,13 +171,13 @@ class FactorizedSpec extends SparkSpec {
     val plan = Factorized.plan(spark, invSchema, rdims)
     val fct = plan.cofactor(inv)
     val joined = inv.join(loc, "locn").join(item, "ksn").join(weather, Seq("locn", "dateid"))
-    val mat = Cofactor.triple(joined, plan.combined)
+    val mat = SparkSpec.sumTriple(joined, plan.combined)
     assert(fct.approxEquals(mat, 1e-5), s"fact.n=${fct.n} mat.n=${mat.n}")
 
     // The 3-level hierarchical order gives the same triple (modulo attr order).
     val hPlan = Factorized.plan(spark, invSchema, rdims, rhier)
     val hT = hPlan.cofactor(inv)
-    val hMat = Cofactor.triple(joined, hPlan.combined)
+    val hMat = SparkSpec.sumTriple(joined, hPlan.combined)
     assert(hT.approxEquals(hMat, 1e-5), s"hier.n=${hT.n} mat.n=${hMat.n}")
   }
 
