@@ -21,11 +21,7 @@ trait BenchScale { self: SparkSpec =>
 /** Fig 3 — in-database learning: scalar-SUM vs ring vs ring+factorized. */
 class LearningBench extends SparkSpec with BenchScale {
   test("Fig 3: training a linear regression over joins") {
-    val all = Seq("flight", "retailer").flatMap { ds =>
-      val r = LearningExp.run(spark, ds, rows(300000))
-      Methods.clearCaches(spark)
-      r
-    }
+    val all = Seq("flight", "retailer").flatMap(ds => LearningExp.run(spark, ds, rows(300000)))
     banner("Fig 3 — in-database learning (train LR over join)", LearningExp.format(all))
     assert(all.size == 12) // 2 datasets × 2 attr modes × 3 approaches
     assert(all.forall(r => r.aggSecs > 0 && r.trainSecs >= 0))
@@ -51,11 +47,7 @@ class LearningBench extends SparkSpec with BenchScale {
 class SingleTableMiceBench extends SparkSpec with BenchScale {
   test("Fig 4: one MICE round over 7 incomplete attributes") {
     val rates = Seq(0.05, 0.1, 0.2, 0.4, 0.6, 0.8)
-    val all = Seq("flight", "retailer").flatMap { ds =>
-      val r = SingleTableExp.run(spark, ds, rows(800000), rates)
-      Methods.clearCaches(spark)
-      r
-    }
+    val all = Seq("flight", "retailer").flatMap(ds => SingleTableExp.run(spark, ds, rows(800000), rates))
     banner("Fig 4 — single-table imputation (per-round + preprocessing seconds)",
       SingleTableExp.format(all))
     assert(all.size == 2 * rates.size * 5)
@@ -73,7 +65,6 @@ class SingleTableMiceBench extends SparkSpec with BenchScale {
 class AttrScalingBench extends SparkSpec with BenchScale {
   test("Fig 5: runtime breakdown vs #incomplete attributes") {
     val all = AttrScalingExp.run(spark, rows(300000))
-    Methods.clearCaches(spark)
     banner("Fig 5 — Low implementation, varying #incomplete attributes", AttrScalingExp.format(all))
     assert(all.size == 12) // 2 rates × 6 attr counts
     // Runtime grows with the number of incomplete attributes.
@@ -89,11 +80,7 @@ class AttrScalingBench extends SparkSpec with BenchScale {
 class NormalizedMiceBench extends SparkSpec with BenchScale {
   test("Fig 6: MICE over normalized data") {
     val rates = Seq(0.05, 0.2, 0.4)
-    val all = Seq("retailer", "flight").flatMap { ds =>
-      val r = NormalizedExp.run(spark, ds, rows(300000), rates)
-      Methods.clearCaches(spark)
-      r
-    }
+    val all = Seq("retailer", "flight").flatMap(ds => NormalizedExp.run(spark, ds, rows(300000), rates))
     banner("Fig 6 — imputation over normalized data", NormalizedExp.format(all))
     assert(all.size == 2 * rates.size * 2)
     assert(all.forall(_.roundSecs > 0))
@@ -115,7 +102,6 @@ class AirQualityBench extends SparkSpec with BenchScale {
   test("Fig 7: imputation quality on the Air Quality dataset") {
     val cells = QualityExp.run(spark, "airquality", rows(30000), Seq("mcar"), Seq(0.06),
       iterations = 5)
-    Methods.clearCaches(spark)
     banner("Fig 7 — Air Quality: downstream R2/RMSE and imputation time",
       QualityExp.format(cells))
     assert(cells.size == 6)
@@ -131,11 +117,8 @@ class PatternsQualityBench extends SparkSpec with BenchScale {
   test("Fig 8: quality across missing patterns and rates") {
     val patterns = Seq("mcar", "mar", "mnar")
     val rates = Seq(0.05, 0.2, 0.4, 0.8)
-    val all = Seq("flight", "retailer").flatMap { ds =>
-      val r = QualityExp.run(spark, ds, rows(15000), patterns, rates, iterations = 3)
-      Methods.clearCaches(spark)
-      r
-    }
+    val all = Seq("flight", "retailer").flatMap(ds =>
+      QualityExp.run(spark, ds, rows(15000), patterns, rates, iterations = 3))
     banner("Fig 8 — quality (normalized downstream RMSE) by pattern × rate × method",
       QualityExp.format(all))
     assert(all.size == 2 * patterns.size * rates.size * 6)

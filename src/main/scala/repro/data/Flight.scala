@@ -92,16 +92,10 @@ object Flight {
     (airports(spark, seed + 900).toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region"),
       carriers(spark, seed + 901))
 
-  /** The denormalized single-table view (fact ⋈ airports ⋈ carriers). */
-  def joined(spark: SparkSession, rows: Long, seed: Long = 303): DataFrame = {
-    val (origins, crs) = dimTables(spark, seed)
-    flights(spark, rows, seed).join(origins, "origin_id").join(crs, "carrier_id")
-  }
-
   /** The star kept normalized (Fig 3, Fig 6): the flights fact with its 7
     * continuous and 2 categorical attributes, the airports (as origins) and
     * carriers dimensions, carriers multiplied in per fact row and airports
-    * once per origin group.
+    * once per origin group. Its `joined` is the single-table view.
     */
   def normalized(spark: SparkSession, rows: Long, seed: Long = 303): Normalized = {
     val (origins, crs) = dimTables(spark, seed)
@@ -116,12 +110,12 @@ object Flight {
       Seq(Stage(Seq("carriers"), Seq("origin_id")), Stage(Seq("airports"), Nil)))
   }
 
-  /** Continuous attributes of the joined view used in experiments. */
+  /** Continuous attributes of the single-table view used in experiments. */
   val JoinedCont: Seq[String] =
     Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout", "taxiin", "elapsed",
       "o_lat", "o_lon", "o_elev", "cr_speed", "cr_avg_age")
 
-  /** Categorical attributes of the joined view used in experiments. */
+  /** Categorical attributes of the single-table view used in experiments. */
   val JoinedCat: Seq[String] = Seq("diverted", "longhaul", "o_region", "cr_alliance")
 
   /** The 7 incomplete attributes of §6.2 (5 continuous + 2 categorical). */

@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.ring.{CofactorSchema, DimSpec, Stage}
 
 /** A dataset kept normalized: the fact table with its own attributes, the
@@ -18,10 +17,7 @@ final case class Normalized(fact: DataFrame, factSchema: CofactorSchema, dims: S
   /** `factPart` (fact rows with their keys) joined to every dimension's
     * attributes on its keys.
     */
-  def join(factPart: DataFrame): DataFrame =
-    dims.foldLeft(factPart) { (acc, d) =>
-      acc.join(d.df.select((d.keys ++ d.schema.cont ++ d.schema.cat).map(col): _*), d.keys)
-    }
+  def join(factPart: DataFrame): DataFrame = DimSpec.join(factPart, dims)
 
   /** The materialized join of the whole fact table. */
   def joined: DataFrame = join(fact)
@@ -31,10 +27,12 @@ final case class Normalized(fact: DataFrame, factSchema: CofactorSchema, dims: S
     factSchema = CofactorSchema(factSchema.cont, Nil),
     dims = dims.map(d => d.copy(schema = CofactorSchema(d.schema.cont, Nil))))
 
+  /** The fact table, then every dimension's. */
+  def tables: Seq[DataFrame] = fact +: dims.map(_.df)
+
   /** Cache and count the fact table and every dimension. */
   def cache(): this.type = {
-    fact.cache().count()
-    dims.foreach(_.df.cache().count())
+    tables.foreach(_.cache().count())
     this
   }
 }

@@ -87,21 +87,11 @@ object Retailer {
   private def dimTables(spark: SparkSession, seed: Long): (DataFrame, DataFrame, DataFrame, DataFrame) =
     (location(spark, seed + 901), census(spark, seed + 902), item(spark, seed + 903), weather(spark, seed + 904))
 
-  /** The denormalized single-table view over the whole snowflake (25 attrs shape). */
-  def joined(spark: SparkSession, rows: Long, seed: Long = 555): DataFrame = {
-    val (locs, cens, items, weathers) = dimTables(spark, seed)
-    inventory(spark, rows, seed)
-      .join(locs, "locn")
-      .join(cens, "zip")
-      .join(items, "ksn")
-      .join(weathers, Seq("locn", "dateid"))
-  }
-
   /** The snowflake kept normalized (Fig 3, Fig 6): the inventory fact with
     * `inventoryunits`, and location⋈census, item and weather as dimensions
     * with their continuous and categorical attributes. Item multiplies in
     * per fact row, weather once per (locn, dateid) group and location⋈census
-    * once per locn group.
+    * once per locn group. Its `joined` is the single-table view.
     */
   def normalized(spark: SparkSession, rows: Long, seed: Long = 555): Normalized = {
     val (locs, cens, items, weathers) = dimTables(spark, seed)
@@ -117,12 +107,12 @@ object Retailer {
         Stage(Seq("loc_census"), Nil)))
   }
 
-  /** Continuous attributes of the joined view used in experiments. */
+  /** Continuous attributes of the single-table view used in experiments. */
   val JoinedCont: Seq[String] =
     Seq("inventoryunits", "rgn_sales_idx", "population", "medianage", "income",
       "price", "maxtemp", "mintemp")
 
-  /** Categorical attributes of the joined view used in experiments. */
+  /** Categorical attributes of the single-table view used in experiments. */
   val JoinedCat: Seq[String] = Seq("clim_zone", "urbanicity", "category", "rain", "snow")
 
   /** The 7 incomplete attributes for the single-table experiments. */

@@ -39,7 +39,7 @@ object Metrics {
     Downstream(rmse(test, label, pred), r2(test, label, pred))
   }
 
-  /** Deterministic train/test split on a hash of `idCols`. */
+  /** Train/test split on `rand(seed)`: deterministic for a fixed input partition layout. */
   def split(df: DataFrame, testFraction: Double, seed: Long): (DataFrame, DataFrame) = {
     val withR = df.withColumn("__r", rand(seed))
     val train = withR.filter(col("__r") >= testFraction).drop("__r")

@@ -1,8 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.data.{Flight, Missingness}
-import repro.mice.{MiceConfig, MiceLow, MiceSchema}
+import repro.data.Missingness
+import repro.mice.{MiceConfig, MiceLow}
 
 /** Fig 5 — runtime of the Low implementation vs the number of incomplete
   * attributes (1…6) at 5% and 20% missing, with the per-phase breakdown:
@@ -16,25 +16,22 @@ object AttrScalingExp {
 
   def run(spark: SparkSession, rows: Long, rates: Seq[Double] = Seq(0.05, 0.20),
           maxAttrs: Int = 6): Seq[Row] = {
-    val (df, fullSchema) = SingleTableExp.dataset(spark, "flight", rows)
-    val out = Seq.newBuilder[Row]
-    for (rate <- rates; n <- 1 to maxAttrs) {
-      val targets = Flight.IncompleteAttrs.take(n)
-      val schema = MiceSchema(fullSchema.cont, fullSchema.cat, targets)
-      val holey = Missingness.mcar(df, targets, rate, seed = 41).cache()
-      holey.count()
-      val r = MiceLow.impute(holey, schema, MiceConfig(iterations = 1, stochastic = true, seed = 7))
-      r.imputed.count()
-      out += Row(rate, n,
-        r.breakdown.getOrElse("init_cofactor", 0.0),
-        r.breakdown.getOrElse("train", 0.0),
-        r.breakdown.getOrElse("update", 0.0),
-        r.roundSecs.sum)
-      holey.unpersist(blocking = false)
-      Methods.clearCaches(spark)
-      df.cache().count()
+    val in = Inputs.of(spark, "flight", rows)
+    Inputs.cached(in.table) { _ =>
+      for (rate <- rates; n <- 1 to maxAttrs) yield {
+        val schema = in.schema.copy(targets = in.schema.targets.take(n))
+        val holey = Missingness.mcar(in.table, schema.targets, rate, seed = 41)
+        Inputs.cached(holey) { _ =>
+          val r = MiceLow.impute(holey, schema, MiceConfig(iterations = 1, stochastic = true, seed = 7))
+          r.imputed.count()
+          Row(rate, n,
+            r.breakdown.getOrElse("init_cofactor", 0.0),
+            r.breakdown.getOrElse("train", 0.0),
+            r.breakdown.getOrElse("update", 0.0),
+            r.roundSecs.sum)
+        }
+      }
     }
-    out.result()
   }
 
   def format(rows: Seq[Row]): String = {

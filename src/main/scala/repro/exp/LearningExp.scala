@@ -2,7 +2,6 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.MiceDirect
-import repro.data.{Flight, Retailer}
 import repro.linalg.LinAlg
 import repro.ml.{LinearRegression, Unpacked}
 import repro.ring.{Cofactor, Factorized}
@@ -28,51 +27,42 @@ object LearningExp {
   }
 
   def run(spark: SparkSession, dataset: String, rows: Long): Seq[Row] = {
-    val (mixed, target) = dataset match {
-      case "flight" => (Flight.normalized(spark, rows).cache(), "airtime")
-      case "retailer" => (Retailer.normalized(spark, rows).cache(), "inventoryunits")
-      case other => throw new IllegalArgumentException(s"unknown dataset $other")
-    }
-    val out = Seq.newBuilder[Row]
+    val in = Inputs.of(spark, dataset, rows)
+    val (mixed, target) = (in.star, in.label)
+    Inputs.cached(mixed.tables: _*) { _ =>
+      Seq("continuous" -> mixed.continuous, "cont+categorical" -> mixed).flatMap { case (attrs, data) =>
+        val (combined, joined) = (data.combined, data.joined)
 
-    for ((attrs, data) <- Seq("continuous" -> mixed.continuous, "cont+categorical" -> mixed)) {
-      val combined = data.combined
+        // Materialize the join once per attrs-mode; both non-factorized
+        // approaches pay this cost.
+        Inputs.cached(joined) { joinSecs =>
+          // (1) scalar SUM baseline, the SystemDS/MADlib simulator's aggregate.
+          // With categoricals the paper's competitors could not even run this at
+          // scale; we run it to measure the cost.
+          val (encoded, codes) = MiceDirect.oneHot(joined, combined.cat)
+          val feats = combined.cont.filter(_ != target) ++ combined.cat.flatMap(codes(_).map(_._2))
+          val ((a, bs), aggS) = Timing.timed(MiceDirect.scalarCofactor(encoded, feats, Seq(target)))
+          val (_, trS) = Timing.timed(LinAlg.solve(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs(0)))
 
-      // Materialize the join once per attrs-mode; both non-factorized
-      // approaches pay this cost.
-      val (joined, joinSecs) = Timing.timed {
-        val j = data.joined.cache()
-        j.count()
-        j
+          // (2) ring over the materialized join.
+          val (triple, ringAgg) = Timing.timed(Cofactor.triple(joined, combined))
+          val (_, ringTrain) = Timing.timed(
+            LinearRegression.train(new Unpacked(combined, triple), target))
+
+          // (3) ring + factorized: no join materialization; hierarchical order so
+          // wide dims multiply once per key group, not once per fact row.
+          val (plan, planSecs) = Timing.timed(
+            Factorized.plan(spark, data.factSchema, data.dims, data.hierarchy))
+          val (ft, factAgg) = Timing.timed(plan.cofactor(data.fact))
+          val (_, factTrain) = Timing.timed(
+            LinearRegression.train(new Unpacked(plan.combined, ft), target))
+
+          Seq(Row(dataset, attrs, "scalar SUM", joinSecs, aggS, trS),
+            Row(dataset, attrs, "ring", joinSecs, ringAgg, ringTrain),
+            Row(dataset, attrs, "ring + fact", 0.0, planSecs + factAgg, factTrain))
+        }
       }
-
-      // (1) scalar SUM baseline, the SystemDS/MADlib simulator's aggregate.
-      // With categoricals the paper's competitors could not even run this at
-      // scale; we run it to measure the cost.
-      val (encoded, codes) = MiceDirect.oneHot(joined, combined.cat)
-      val feats = combined.cont.filter(_ != target) ++ combined.cat.flatMap(codes(_).map(_._2))
-      val ((a, bs), aggS) = Timing.timed(MiceDirect.scalarCofactor(encoded, feats, Seq(target)))
-      val (_, trS) = Timing.timed(LinAlg.solve(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs(0)))
-      out += Row(dataset, attrs, "scalar SUM", joinSecs, aggS, trS)
-
-      // (2) ring over the materialized join.
-      val (triple, ringAgg) = Timing.timed(Cofactor.triple(joined, combined))
-      val (_, ringTrain) = Timing.timed(
-        LinearRegression.train(new Unpacked(combined, triple), target))
-      out += Row(dataset, attrs, "ring", joinSecs, ringAgg, ringTrain)
-
-      // (3) ring + factorized: no join materialization; hierarchical order so
-      // wide dims multiply once per key group, not once per fact row.
-      val (plan, planSecs) = Timing.timed(
-        Factorized.plan(spark, data.factSchema, data.dims, data.hierarchy))
-      val (ft, factAgg) = Timing.timed(plan.cofactor(data.fact))
-      val (_, factTrain) = Timing.timed(
-        LinearRegression.train(new Unpacked(plan.combined, ft), target))
-      out += Row(dataset, attrs, "ring + fact", 0.0, planSecs + factAgg, factTrain)
-
-      joined.unpersist(blocking = false)
     }
-    out.result()
   }
 
   def format(rows: Seq[Row]): String = {

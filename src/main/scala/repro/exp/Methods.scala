@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.baselines._
 import repro.mice._
 import repro.util.Timing
@@ -58,14 +58,4 @@ object Methods {
     "GAIN-sim (autoenc)" -> gainSim(),
     "MIRACLE-lite" -> miracleLite(iterations),
   )
-
-  /** Free persisted blocks between experiment cells. Locally checkpointed
-    * RDDs are skipped: their blocks are the only copy of their data, so
-    * outputs still referenced read them; the context cleaner frees them once
-    * nothing does.
-    */
-  def clearCaches(spark: SparkSession): Unit = {
-    spark.sparkContext.getPersistentRDDs.values.filterNot(_.isCheckpointed).foreach(_.unpersist(blocking = false))
-    spark.catalog.clearCache()
-  }
 }

@@ -1,9 +1,9 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.{AirQuality, Flight, Missingness, Retailer}
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.functions.{col, var_pop}
+import repro.data.Missingness
 import repro.eval.Metrics
-import repro.mice.MiceSchema
 import repro.ring.CofactorSchema
 
 /** Fig 7 and Fig 8 — imputation quality, following the paper's protocol:
@@ -19,51 +19,29 @@ object QualityExp {
   final case class Cell(dataset: String, pattern: String, rate: Double, method: String,
                         rmse: Double, r2: Double, imputeSecs: Double)
 
-  /** (complete table, downstream label, MICE schema of the predictors). */
-  def setup(spark: SparkSession, name: String, rows: Long): (DataFrame, String, MiceSchema) =
-    name match {
-      case "airquality" =>
-        val df = AirQuality.table(spark, rows).cache(); df.count()
-        (df, "aqi", MiceSchema(AirQuality.Columns, Nil, AirQuality.Pollutants))
-      case "flight" =>
-        val df = Flight.joined(spark, rows).cache(); df.count()
-        // Predict flight duration (airtime); 7 predictors go missing.
-        (df, "airtime", MiceSchema(Flight.JoinedCont, Flight.JoinedCat, Flight.IncompleteAttrs))
-      case "retailer" =>
-        val df = Retailer.joined(spark, rows).cache(); df.count()
-        // Predict inventory stock; 7 predictors go missing.
-        (df, "inventoryunits",
-          MiceSchema(Retailer.JoinedCont, Retailer.JoinedCat,
-            Seq("population", "medianage", "income", "price", "maxtemp", "rain", "snow")))
-      case other => throw new IllegalArgumentException(s"unknown dataset $other")
-    }
-
   def run(spark: SparkSession, name: String, rows: Long, patterns: Seq[String],
           rates: Seq[Double], iterations: Int = 3): Seq[Cell] = {
-    val (df, label, schema) = setup(spark, name, rows)
+    val in = Inputs.of(spark, name, rows)
+    val (label, schema) = (in.label, in.schema)
     require(!schema.targets.contains(label), "the downstream label must stay complete")
-    val (train, test) = Metrics.split(df, testFraction = 0.2, seed = 61)
-    val trainC = train.cache(); val testC = test.cache()
-    trainC.count(); testC.count()
     val downstreamSchema = CofactorSchema(schema.cont, schema.cat)
-    val labelSd = math.sqrt(
-      testC.select(org.apache.spark.sql.functions.var_pop(
-        org.apache.spark.sql.functions.col(label))).head().getDouble(0))
-
-    val out = Seq.newBuilder[Cell]
-    for (pattern <- patterns; rate <- rates) {
-      val holey = Missingness.inject(trainC, pattern, schema.targets, rate, label, seed = 71).cache()
-      holey.count()
-      for ((methodName, imputer) <- Methods.qualityLineup(iterations)) {
-        val (imputed, secs) = imputer(holey, schema)
-        val d = Metrics.downstream(imputed, testC, downstreamSchema, label)
-        out += Cell(name, pattern, rate, methodName, d.rmse / labelSd, d.r2, secs)
-        Methods.clearCaches(spark)
-        trainC.cache().count(); testC.cache().count(); holey.cache().count()
+    // The split reads the cached table, so both sides see the same rows.
+    Inputs.cached(in.table) { _ =>
+      val (train, test) = Metrics.split(in.table, testFraction = 0.2, seed = 61)
+      Inputs.cached(train, test) { _ =>
+        val labelSd = math.sqrt(test.select(var_pop(col(label))).head().getDouble(0))
+        (for (pattern <- patterns; rate <- rates) yield {
+          val holey = Missingness.inject(train, pattern, schema.targets, rate, label, seed = 71)
+          Inputs.cached(holey) { _ =>
+            for ((methodName, imputer) <- Methods.qualityLineup(iterations)) yield {
+              val (imputed, secs) = imputer(holey, schema)
+              val d = Metrics.downstream(imputed, test, downstreamSchema, label)
+              Cell(name, pattern, rate, methodName, d.rmse / labelSd, d.r2, secs)
+            }
+          }
+        }).flatten
       }
-      holey.unpersist(blocking = false)
     }
-    out.result()
   }
 
   def format(cells: Seq[Cell]): String = {

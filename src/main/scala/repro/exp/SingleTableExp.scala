@@ -1,8 +1,8 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baselines.{MiceDirect, MissForestLite}
-import repro.data.{Flight, Missingness, Retailer}
+import repro.data.Missingness
 import repro.mice._
 
 /** Fig 4 — single-table imputation: preprocessing time (one-off) and the cost
@@ -16,46 +16,31 @@ object SingleTableExp {
   final case class Row(dataset: String, rate: Double, method: String,
                        preprocessSecs: Double, roundSecs: Double)
 
-  /** Joined single-table view + MICE schema for a dataset name. */
-  def dataset(spark: SparkSession, name: String, rows: Long): (DataFrame, MiceSchema) = name match {
-    case "flight" =>
-      val df = Flight.joined(spark, rows).cache()
-      df.count()
-      (df, MiceSchema(Flight.JoinedCont, Flight.JoinedCat, Flight.IncompleteAttrs))
-    case "retailer" =>
-      val df = Retailer.joined(spark, rows).cache()
-      df.count()
-      (df, MiceSchema(Retailer.JoinedCont, Retailer.JoinedCat, Retailer.IncompleteAttrs))
-    case other => throw new IllegalArgumentException(s"unknown dataset $other")
-  }
-
   def run(spark: SparkSession, name: String, rows: Long, rates: Seq[Double],
           rounds: Int = 1): Seq[Row] = {
-    val (df, schema) = dataset(spark, name, rows)
-    val out = Seq.newBuilder[Row]
-    for (rate <- rates) {
-      val holey = Missingness.mcar(df, schema.targets, rate, seed = 31).cache()
-      holey.count()
-      val cfg = MiceConfig(iterations = rounds, stochastic = true, seed = 7)
+    val in = Inputs.of(spark, name, rows)
+    val schema = in.schema
+    val cfg = MiceConfig(iterations = rounds, stochastic = true, seed = 7)
+    Inputs.cached(in.table) { _ =>
+      rates.flatMap { rate =>
+        val holey = Missingness.mcar(in.table, schema.targets, rate, seed = 31)
+        Inputs.cached(holey) { _ =>
+          def record(method: String, r: MiceResult): Row = {
+            r.imputed.count() // force the final round's lazy work
+            Row(name, rate, method, r.preprocessSecs, r.roundSecs.sum / r.roundSecs.size)
+          }
 
-      def record(method: String, r: MiceResult): Unit = {
-        r.imputed.count() // force the final round's lazy work
-        out += Row(name, rate, method, r.preprocessSecs, r.roundSecs.sum / r.roundSecs.size)
+          Seq(
+            record("ours baseline (ring)", MiceBaseline.impute(holey, schema, cfg)),
+            record("ours low", MiceLow.impute(holey, schema, cfg)),
+            record("ours high", MiceHigh.impute(holey, schema, cfg)),
+            record("SystemDS-sim (one-hot+direct)",
+              MiceDirect.impute(holey, schema, cfg.copy(stochastic = false))),
+            record("MindsDB-sim (trees/column)",
+              MissForestLite.impute(holey, schema, MissForestLite.Config(iterations = rounds))))
+        }
       }
-
-      record("ours baseline (ring)", MiceBaseline.impute(holey, schema, cfg))
-      record("ours low", MiceLow.impute(holey, schema, cfg))
-      record("ours high", MiceHigh.impute(holey, schema, cfg))
-      record("SystemDS-sim (one-hot+direct)",
-        MiceDirect.impute(holey, schema, cfg.copy(stochastic = false)))
-      record("MindsDB-sim (trees/column)",
-        MissForestLite.impute(holey, schema, MissForestLite.Config(iterations = rounds)))
-
-      holey.unpersist(blocking = false)
-      Methods.clearCaches(spark)
-      df.cache().count() // re-pin the base table for the next rate
     }
-    out.result()
   }
 
   def format(rows: Seq[Row]): String = {

@@ -11,6 +11,17 @@ import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType}
   */
 final case class DimSpec(name: String, df: DataFrame, keys: Seq[String], schema: CofactorSchema)
 
+object DimSpec {
+
+  /** `factPart` joined to each of `dims` in turn on its keys, taking the
+    * dimension's keys and attributes (a join hint on a dimension's `df` holds).
+    */
+  def join(factPart: DataFrame, dims: Seq[DimSpec]): DataFrame =
+    dims.foldLeft(factPart) { (acc, d) =>
+      acc.join(d.df.select((d.keys ++ d.schema.cont ++ d.schema.cat).map(col): _*), d.keys)
+    }
+}
+
 /** One level of a factorized evaluation order: multiply the named dimensions
   * into the current partial triples (each dimension's keys must be available
   * at this level), then re-group by `nextKeys` (empty = final global sum).
@@ -199,16 +210,12 @@ object Factorized {
     }
 
     /** Enrich a fact-side subset with all dimension attribute columns (used to
-      * build prediction features for missing rows — small joins only).
+      * build prediction features for missing rows). Each (small) dimension is
+      * broadcast — the DB analogue of an indexed N:1 lookup — also where
+      * automatic broadcast joins are switched off.
       */
     def enrich(factPart: DataFrame): DataFrame =
-      dims.foldLeft(factPart) { (acc, dim) =>
-        // Broadcast the (small) dimension — the DB analogue of an indexed
-        // N:1 lookup; the global broadcast kill-switch in tests would force a
-        // full shuffle for every per-round prediction otherwise.
-        acc.join(broadcast(dim.df.select((dim.keys ++ dim.schema.cont ++ dim.schema.cat).map(col): _*)),
-          dim.keys)
-      }
+      DimSpec.join(factPart, dims.map(d => d.copy(df = broadcast(d.df))))
   }
 
   /** Build a [[Plan]]: collect each dimension once (one Spark job each) and
@@ -220,8 +227,8 @@ object Factorized {
     *
     * The combined attribute order follows the stage order, i.e.
     * `fact ++ stages.flatMap(dims)`. Fails, naming the dimension and the
-    * column, when a dimension repeats a key or its key columns need more than
-    * 63 bits together.
+    * column, when a dimension repeats a key, its key columns need more than
+    * 63 bits together or one of its attributes holds a null.
     */
   def plan(spark: SparkSession, factSchema: CofactorSchema,
            dims: Seq[DimSpec], hierarchy: Seq[Stage] = Nil): Plan = {
@@ -238,6 +245,9 @@ object Factorized {
       val rows = dim.df.select(dim.keys.map(col(_).cast("long")) ++ dim.schema.cont.map(col(_).cast("double")) ++
           dim.schema.cat.map(col(_).cast("int")): _*)
         .collect().filter(r => (0 until nk).forall(!r.isNullAt(_))) // a null key joins nothing
+      for ((c, j) <- (dim.schema.cont ++ dim.schema.cat).zipWithIndex)
+        require(!rows.exists(_.isNullAt(nk + j)),
+          s"dimension ${dim.name}: attribute $c has a null value; dimension attributes must be complete")
       val ks = rows.map { r =>
         val a = new Array[Long](allKeys.size)
         for (i <- 0 until nk) a(allKeys.indexOf(dim.keys(i))) = r.getLong(i)

@@ -8,8 +8,8 @@ import repro.SparkSpec
   */
 class DataSpec extends SparkSpec {
 
-  private lazy val flight = Flight.joined(spark, 5000).cache()
-  private lazy val retailer = Retailer.joined(spark, 5000).cache()
+  private lazy val flight = Flight.normalized(spark, 5000).joined.cache()
+  private lazy val retailer = Retailer.normalized(spark, 5000).joined.cache()
   private lazy val aq = AirQuality.table(spark, 5000).cache()
 
   // ---- Flight --------------------------------------------------------------
@@ -100,9 +100,19 @@ class DataSpec extends SparkSpec {
   // ---- Normalized views ----------------------------------------------------
 
   test("each normalized dataset joins to exactly the rows of its single-table view") {
+    // The single-table views spelled out over the generators, with the
+    // dimension seeds offset from the fact's default seed.
+    val flightView = Flight.flights(spark, 3000)
+      .join(Flight.airports(spark, 303 + 900).toDF("origin_id", "o_lat", "o_lon", "o_elev", "o_region"), "origin_id")
+      .join(Flight.carriers(spark, 303 + 901), "carrier_id")
+    val retailerView = Retailer.inventory(spark, 3000)
+      .join(Retailer.location(spark, 555 + 901), "locn")
+      .join(Retailer.census(spark, 555 + 902), "zip")
+      .join(Retailer.item(spark, 555 + 903), "ksn")
+      .join(Retailer.weather(spark, 555 + 904), Seq("locn", "dateid"))
     for ((data, view) <- Seq(
-        Flight.normalized(spark, 3000) -> Flight.joined(spark, 3000),
-        Retailer.normalized(spark, 3000) -> Retailer.joined(spark, 3000))) {
+        Flight.normalized(spark, 3000) -> flightView,
+        Retailer.normalized(spark, 3000) -> retailerView)) {
       val cols = (data.combined.cont ++ data.combined.cat).map(col)
       val (a, b) = (data.joined.select(cols: _*), view.select(cols: _*))
       assert(a.count() == 3000 && b.count() == 3000)

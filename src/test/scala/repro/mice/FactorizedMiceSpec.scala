@@ -56,6 +56,13 @@ class FactorizedMiceSpec extends SparkSpec {
     MiceSpec.assertSameCells(mat.imputed, fact.imputed, "airtime", factSchema)
   }
 
+  test("factorized MICE rejects a null in a dimension attribute, naming the dimension and the column") {
+    val holed = carriers.withColumn("cr_speed", when(col("carrier_id") === 3, null).otherwise(col("cr_speed")))
+    val e = intercept[IllegalArgumentException](FactorizedMice.impute(holeyFact, factSchema,
+      dims.updated(1, dims(1).copy(df = holed)), cfg))
+    assert(e.getMessage.contains("dimension carriers") && e.getMessage.contains("attribute cr_speed"), e.getMessage)
+  }
+
   test("timing fields are populated") {
     val r = FactorizedMice.impute(holeyFact, factSchema, dims, MiceConfig(1, stochastic = false))
     assert(r.preprocessSecs > 0 && r.roundSecs.size == 1)

@@ -149,7 +149,7 @@ class MiceSpec extends SparkSpec {
 
   test("preprocessing runs at most 3 Spark jobs for Baseline and 4 for Low and High") {
     val fSchema = MiceSchema(Flight.JoinedCont, Flight.JoinedCat, Flight.IncompleteAttrs)
-    val fHoley = Missingness.mcar(Flight.joined(spark, 2000), fSchema.targets, 0.1, seed = 3).cache()
+    val fHoley = Missingness.mcar(Flight.normalized(spark, 2000).joined, fSchema.targets, 0.1, seed = 3).cache()
     fHoley.count()
     for ((name, impute, most) <- Seq(("Baseline", MiceBaseline.impute _, 3), ("Low", MiceLow.impute _, 4),
       ("High", MiceHigh.impute _, 4))) {

@@ -32,6 +32,15 @@ class FactorizedSpec extends SparkSpec {
     assert(e.getMessage.contains("dimension airports") && e.getMessage.contains("origin_id"), e.getMessage)
   }
 
+  test("plan rejects a null in a dimension attribute, naming the dimension and the column") {
+    for ((dim, c) <- Seq(0 -> "o_elev", 0 -> "o_region", 1 -> "cr_avg_age")) {
+      val d = dims(dim)
+      val holed = d.copy(df = d.df.withColumn(c, when(col(d.keys.head) === 3, null).otherwise(col(c))))
+      val e = intercept[IllegalArgumentException](Factorized.plan(spark, factSchema, dims.updated(dim, holed)))
+      assert(e.getMessage.contains(s"dimension ${d.name}") && e.getMessage.contains(s"attribute $c"), e.getMessage)
+    }
+  }
+
   test("keys that cannot be packed exactly are rejected, and never alias") {
     import spark.implicits._
     val sch = CofactorSchema(Seq("x"), Nil)
@@ -126,6 +135,9 @@ class FactorizedSpec extends SparkSpec {
     val plan = Factorized.plan(spark, factSchema, dims)
     val e = plan.enrich(flights.limit(100))
     assert(e.count() == 100)
+    // Each dimension is broadcast, although the tests switch automatic broadcasts off.
+    val physical = e.queryExecution.executedPlan.toString
+    assert("BroadcastHashJoin".r.findAllIn(physical).size == dims.size, physical)
     for (c <- Seq("o_lat", "o_elev", "o_region", "cr_speed", "cr_avg_age", "cr_alliance"))
       assert(e.columns.contains(c), c)
   }
