@@ -1,98 +1,65 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.linalg.LinAlg
-import repro.mice.{Imputation, MiceConfig, MiceResult, MiceSchema}
-import repro.ml.LinearRegression
+import repro.mice.{Imputation, MiceResult, MiceSchema}
+import repro.ring.{CofactorSchema, Triple}
 import repro.util.Timing
 
 /** Simulator of the paper's external competitors — SystemDS / MADlib MICE and
-  * scikit-learn's IterativeImputer ("MICE Python") — reproducing their cost
-  * and quality profile inside the same Spark host:
+  * scikit-learn's IterativeImputer ("MICE Python"): the chained linear models
+  * of ring MICE, with the cofactor aggregated the way they aggregate it,
+  * inside the same Spark host:
   *
   *  - preprocessing materializes a one-hot encoding of every categorical
   *    attribute (the data-explosion step the ring avoids),
   *  - each (iteration, attribute) computes the cofactor matrix with O(m²)
   *    *scalar* SUM aggregates over the one-hot columns (no compound ring
   *    aggregate, no sharing across attributes or iterations),
-  *  - linear systems are solved directly (`LinAlg.solve`), as SystemDS and
-  *    MADlib do,
-  *  - categorical targets are imputed by a per-class linear scorer trained on
-  *    one-vs-rest indicator regressions (a least-squares surrogate for their
-  *    multinomial logistic regression with the same aggregate structure).
+  *  - the models are the engine's own, trained from that cofactor: ridge
+  *    regression for continuous targets, LDA for categorical ones; no noise.
   *
-  * With `maskFeatures = true` the missingness masks join the predictors —
-  * the MIRACLE-lite quality comparator (missingness-mechanism-aware MICE).
+  * So with `stochastic = false` ring MICE ([[repro.mice.MiceBaseline]])
+  * imputes the same cells. With `maskFeatures = true` the missingness masks
+  * join the predictors — the MIRACLE-lite quality comparator
+  * (missingness-mechanism-aware MICE).
   */
 object MiceDirect {
 
-  def impute(df0: DataFrame, schema: MiceSchema, cfg: MiceConfig = MiceConfig(),
+  def impute(df0: DataFrame, schema: MiceSchema, iterations: Int = 5,
              maskFeatures: Boolean = false): MiceResult = {
     val sw = new Timing.StopWatch
+    // MIRACLE-lite: each target's mask is one more continuous attribute. It is
+    // 0 on the rows that train the target, which gives it weight 0 there.
+    val masks = if (maskFeatures) schema.targets.map(t => s"__mf_$t") else Nil
+    val trainSchema = schema.copy(cont = schema.cont ++ masks)
 
-    val ((cur0, encoded), prepSecs) = Timing.timed {
+    val ((cur0, codes), prepSecs) = Timing.timed {
       val masked = Imputation.addMasks(df0, schema)
-      val guesses = Imputation.initialGuesses(masked, schema)
-      val (d, codes) = oneHot(Imputation.initImpute(masked, schema, guesses), schema.cat)
-      val withMasks =
-        if (!maskFeatures) d
-        else schema.targets.foldLeft(d)((acc, t) => acc.withColumn(s"__mf_$t", col(schema.maskCol(t)).cast("double")))
-      (withMasks.localCheckpoint(true), codes)
+      val guessed = Imputation.initImpute(masked, schema, Imputation.initialGuesses(masked, schema))
+      val withMasks = schema.targets.zip(masks).foldLeft(guessed) { case (d, (t, m)) =>
+        d.withColumn(m, col(schema.maskCol(t)).cast("double"))
+      }
+      val (d, codes) = oneHot(withMasks, schema.cat)
+      (d.localCheckpoint(true), codes)
     }
     var cur = cur0
 
-    /** Predictor columns when imputing `target` (one-hot space + optional masks). */
-    def featureCols(target: String): Seq[String] = {
-      val contF = schema.cont.filter(_ != target)
-      val catF = schema.cat.filter(_ != target).flatMap(c => encoded(c).map(_._2))
-      val maskF = if (maskFeatures) schema.targets.filter(_ != target).map(t => s"__mf_$t") else Nil
-      contF ++ catF ++ maskF
-    }
-
-    def linearExpr(feats: Seq[String], theta: Array[Double]): Column =
-      feats.zipWithIndex.foldLeft(lit(theta(0))) { case (acc, (f, i)) =>
-        acc + col(f).cast("double") * theta(i + 1)
-      }
-
-    val roundSecs = (0 until cfg.iterations).map { _ =>
-      val (_, secs) = Timing.timed {
+    val roundSecs = (0 until iterations).map { _ =>
+      Timing.timed {
         for (t <- schema.targets) {
-          val mask = col(schema.maskCol(t))
-          val obs = cur.filter(!mask)
-          val feats = featureCols(t)
-          if (schema.isContinuous(t)) {
-            val (a, bs) = sw.phase("cofactor")(scalarCofactor(obs, feats, Seq(t)))
-            val theta = sw.phase("train")(LinAlg.solve(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs(0)))
-            cur = sw.phase("update") {
-              cur.withColumn(t, when(mask, linearExpr(feats, theta)).otherwise(col(t)))
-                .localCheckpoint(true)
-            }
-          } else {
-            // One-vs-rest least-squares scorers per class.
-            val classCols = encoded(t)
-            val (a, bs) = sw.phase("cofactor")(
-              scalarCofactor(obs, feats, classCols.map(_._2)))
-            val thetas = sw.phase("train")(LinAlg.solveMany(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs))
-            val scores = classCols.zip(thetas).map { case ((code, _), th) =>
-              (code, linearExpr(feats, th))
-            }
-            // argmax over class scores via a greatest() chain.
-            val best = scores.tail.foldLeft((lit(scores.head._1), scores.head._2)) {
-              case ((bc, bscol), (code, sc)) =>
-                (when(sc > bscol, lit(code)).otherwise(bc), greatest(sc, bscol))
-            }._1
-            cur = sw.phase("update") {
-              var d = cur.withColumn(t, when(mask, best).otherwise(col(t)))
-              // Keep the one-hot encoding of t consistent with the new values.
-              for ((code, name) <- classCols)
-                d = d.withColumn(name, (col(t) === code).cast("double"))
-              d.localCheckpoint(true)
+          val triple = sw.phase("cofactor")(
+            scalarCofactor(cur.filter(!col(schema.maskCol(t))), trainSchema.cofactor, codes))
+          val model = sw.phase("train")(Imputation.train(triple, trainSchema, t))
+          cur = sw.phase("update") {
+            val d = Imputation.updateWhereMasked(cur, schema, t, model.predictColumn)
+            // Keep t's one-hot encoding in step with its new values.
+            codes.getOrElse(t, Nil).foldLeft(d) { case (acc, (code, name)) =>
+              acc.withColumn(name, (col(t) === code).cast("double"))
             }
           }
         }
-      }
-      secs
+      }._2
     }
     MiceResult(Imputation.stripMasks(cur, schema), prepSecs, roundSecs, sw.snapshot)
   }
@@ -114,28 +81,38 @@ object MiceDirect {
     (d, codes)
   }
 
-  /** Scalar-SUM cofactor over [1, feats, rhs*] — (m²+m·r) SUM aggregates:
-    * the m×m matrix over the intercept and `feats`, and per `rhs` column its
-    * m sums against them.
+  /** The cofactor triple of `d` under `schema`, from scalar SUMs: one SUM
+    * per entry of the upper triangle of the cofactor matrix over
+    * `[1, continuous, one-hot]`, where the one-hot columns are the
+    * materialized `__oh_*` columns of `codes` ([[oneHot]]). A category with a
+    * zero count gets no entry, as in the ring.
     */
-  def scalarCofactor(d: DataFrame, feats: Seq[String], rhs: Seq[String]): (Array[Array[Double]], Array[Array[Double]]) = {
-    val fs = lit(1.0) +: feats.map(col(_).cast("double"))
+  def scalarCofactor(d: DataFrame, schema: CofactorSchema, codes: Map[String, Seq[(Int, String)]]): Triple = {
+    val (k, l) = (schema.k, schema.l)
+    // One-hot matrix columns as (categorical index, code, column name).
+    val oh = schema.cat.zipWithIndex.flatMap { case (c, j) => codes(c).map { case (code, name) => (j, code, name) } }
+    val fs = lit(1.0) +: (schema.cont.map(col(_).cast("double")) ++ oh.map(o => col(o._3)))
     val m = fs.length
-    val rs = rhs.map(col(_).cast("double"))
-    val exprs =
-      (for (i <- 0 until m; j <- i until m) yield sum(fs(i) * fs(j))) ++
-        (for (i <- 0 until m; r <- rs) yield sum(fs(i) * r))
-    val row = d.select(exprs: _*).head()
+    val row = d.select((for (i <- 0 until m; j <- i until m) yield sum(fs(i) * fs(j))): _*).head()
     val a = Array.ofDim[Double](m, m)
     var idx = 0
     for (i <- 0 until m; j <- i until m) {
-      val v = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx)
-      a(i)(j) = v; a(j)(i) = v; idx += 1
+      a(i)(j) = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx); idx += 1
     }
-    val bs = Array.ofDim[Double](rhs.length, m)
-    for (i <- 0 until m; r <- rhs.indices) {
-      bs(r)(i) = if (row.isNullAt(idx)) 0.0 else row.getDouble(idx); idx += 1
+
+    val t = Triple.zero(k, l)
+    t.n = a(0)(0)
+    for (i <- 0 until k) {
+      t.s(i) = a(0)(1 + i)
+      for (j <- i until k) t.q(Triple.qIdx(k, i, j)) = a(1 + i)(1 + j)
     }
-    (a, bs)
+    val ohCol = 1 + k
+    for (((j, code, _), p) <- oh.zipWithIndex if a(0)(ohCol + p) != 0) {
+      t.scat(j)(code) = a(0)(ohCol + p)
+      for (i <- 0 until k) t.qcc(j * k + i)(code) = a(1 + i)(ohCol + p)
+      for (((j2, code2, _), p2) <- oh.zipWithIndex.drop(p + 1) if j2 != j && a(ohCol + p)(ohCol + p2) != 0)
+        t.qcatcat(Triple.catcatIdx(l, j, j2))(Triple.pairKey(code, code2)) = a(ohCol + p)(ohCol + p2)
+    }
+    t
   }
 }

@@ -99,24 +99,28 @@ object Flight {
     */
   def normalized(spark: SparkSession, rows: Long, seed: Long = 303): Normalized = {
     val (origins, crs) = dimTables(spark, seed)
-    Normalized(flights(spark, rows, seed),
-      CofactorSchema(Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout", "taxiin", "elapsed"),
-        Seq("diverted", "longhaul")),
-      Seq(
-        DimSpec("airports", origins, Seq("origin_id"),
-          CofactorSchema(Seq("o_lat", "o_lon", "o_elev"), Seq("o_region"))),
-        DimSpec("carriers", crs, Seq("carrier_id"),
-          CofactorSchema(Seq("cr_speed", "cr_avg_age"), Seq("cr_alliance")))),
+    Normalized(flights(spark, rows, seed), FactSchema,
+      Seq(DimSpec("airports", origins, Seq("origin_id"), AirportsSchema),
+        DimSpec("carriers", crs, Seq("carrier_id"), CarriersSchema)),
       Seq(Stage(Seq("carriers"), Seq("origin_id")), Stage(Seq("airports"), Nil)))
   }
 
+  /** Attributes of the flights fact, of the airports (as origins) and of the
+    * carriers, in triple order.
+    */
+  private val FactSchema = CofactorSchema(
+    Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout", "taxiin", "elapsed"), Seq("diverted", "longhaul"))
+  private val AirportsSchema = CofactorSchema(Seq("o_lat", "o_lon", "o_elev"), Seq("o_region"))
+  private val CarriersSchema = CofactorSchema(Seq("cr_speed", "cr_avg_age"), Seq("cr_alliance"))
+
+  /** Every attribute of the star, as `normalized(…).combined` orders them. */
+  private val Joined = FactSchema ++ AirportsSchema ++ CarriersSchema
+
   /** Continuous attributes of the single-table view used in experiments. */
-  val JoinedCont: Seq[String] =
-    Seq("distance", "airtime", "depdelay", "arrdelay", "taxiout", "taxiin", "elapsed",
-      "o_lat", "o_lon", "o_elev", "cr_speed", "cr_avg_age")
+  val JoinedCont: Seq[String] = Joined.cont
 
   /** Categorical attributes of the single-table view used in experiments. */
-  val JoinedCat: Seq[String] = Seq("diverted", "longhaul", "o_region", "cr_alliance")
+  val JoinedCat: Seq[String] = Joined.cat
 
   /** The 7 incomplete attributes of §6.2 (5 continuous + 2 categorical). */
   val IncompleteAttrs: Seq[String] =

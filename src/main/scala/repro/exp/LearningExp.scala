@@ -2,7 +2,6 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.MiceDirect
-import repro.linalg.LinAlg
 import repro.ml.{LinearRegression, Unpacked}
 import repro.ring.{Cofactor, Factorized}
 import repro.util.Timing
@@ -11,8 +10,8 @@ import repro.util.Timing
   * the join of the input tables, comparing
   *
   *  - `scalar SUM`: materialize the join, compute the cofactor matrix with
-  *    O(m²) plain SUM aggregates (one-hot columns for categoricals), direct
-  *    solve — the no-ring baseline / MADlib cost profile,
+  *    O(m²) plain SUM aggregates (one-hot columns for categoricals) — the
+  *    no-ring baseline / MADlib cost profile — and train off it,
   *  - `ring`: materialize the join, one `SUM_TRIPLE` pass, train off the triple,
   *  - `ring + fact`: factorized evaluation — no join materialization at all.
   *
@@ -40,9 +39,8 @@ object LearningExp {
           // With categoricals the paper's competitors could not even run this at
           // scale; we run it to measure the cost.
           val (encoded, codes) = MiceDirect.oneHot(joined, combined.cat)
-          val feats = combined.cont.filter(_ != target) ++ combined.cat.flatMap(codes(_).map(_._2))
-          val ((a, bs), aggS) = Timing.timed(MiceDirect.scalarCofactor(encoded, feats, Seq(target)))
-          val (_, trS) = Timing.timed(LinAlg.solve(LinAlg.ridge(a, LinearRegression.DefaultLambda), bs(0)))
+          val (scalar, aggS) = Timing.timed(MiceDirect.scalarCofactor(encoded, combined, codes))
+          val (_, trS) = Timing.timed(LinearRegression.train(new Unpacked(combined, scalar), target))
 
           // (2) ring over the materialized join.
           val (triple, ringAgg) = Timing.timed(Cofactor.triple(joined, combined))

@@ -23,9 +23,9 @@ object Methods {
   def miceRing(iterations: Int = 3, seed: Long = 42): Imputer = (df, schema) =>
     timeResult(MiceLow.impute(df, schema, MiceConfig(iterations = iterations, seed = seed)))
 
-  /** One-hot + direct-solve chained equations — the "MICE Python" slot. */
+  /** One-hot + scalar-SUM chained equations — the "MICE Python" slot. */
   def miceDirect(iterations: Int = 3): Imputer = (df, schema) =>
-    timeResult(MiceDirect.impute(df, schema, MiceConfig(iterations = iterations, stochastic = false)))
+    timeResult(MiceDirect.impute(df, schema, iterations))
 
   /** Mean/mode imputation. */
   def mean: Imputer = (df, schema) => {
@@ -44,10 +44,9 @@ object Methods {
   def gainSim(epochs: Int = 20): Imputer = (df, schema) =>
     timeResult(AutoencoderImputer.impute(df, schema, AutoencoderImputer.Config(epochs = epochs)))
 
-  /** Mask-feature-augmented direct MICE — the "MIRACLE" quality slot. */
+  /** Mask-feature-augmented scalar-SUM MICE — the "MIRACLE" quality slot. */
   def miracleLite(iterations: Int = 3): Imputer = (df, schema) =>
-    timeResult(MiceDirect.impute(df, schema,
-      MiceConfig(iterations = iterations, stochastic = false), maskFeatures = true))
+    timeResult(MiceDirect.impute(df, schema, iterations, maskFeatures = true))
 
   /** The §6.4 line-up in paper order. */
   def qualityLineup(iterations: Int = 3): Seq[(String, Imputer)] = Seq(

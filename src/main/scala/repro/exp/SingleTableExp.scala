@@ -8,7 +8,7 @@ import repro.mice._
 /** Fig 4 — single-table imputation: preprocessing time (one-off) and the cost
   * of one MICE round over 7 incomplete attributes, for our Baseline / Low /
   * High implementations vs the SystemDS/MADlib simulator (one-hot + scalar
-  * SUM + direct solve) and the MindsDB simulator (tree ensemble per column),
+  * SUM, the same models) and the MindsDB simulator (tree ensemble per column),
   * while the missing rate sweeps 5% … 80%.
   */
 object SingleTableExp {
@@ -35,7 +35,7 @@ object SingleTableExp {
             record("ours low", MiceLow.impute(holey, schema, cfg)),
             record("ours high", MiceHigh.impute(holey, schema, cfg)),
             record("SystemDS-sim (one-hot+direct)",
-              MiceDirect.impute(holey, schema, cfg.copy(stochastic = false))),
+              MiceDirect.impute(holey, schema, rounds)),
             record("MindsDB-sim (trees/column)",
               MissForestLite.impute(holey, schema, MissForestLite.Config(iterations = rounds))))
         }

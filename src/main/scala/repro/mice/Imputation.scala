@@ -17,18 +17,25 @@ sealed trait AttrModel {
     * regression scales by σ (§3.1); classification ignores it.
     */
   def predict(cont: Array[Double], cat: Array[Int], noise: Double): Double
+
+  /** Catalyst column of the imputed value without noise, over the model's
+    * schema columns.
+    */
+  def predictColumn: Column
 }
 
 final case class ContAttrModel(model: RegressionModel) extends AttrModel {
   def target: String = model.target
   def predict(cont: Array[Double], cat: Array[Int], noise: Double): Double =
     model.predict(cont, cat) + noise * math.sqrt(model.sigma2)
+  def predictColumn: Column = model.predictColumn(stochastic = false, seed = 0)
 }
 
 final case class CatAttrModel(model: LdaModel) extends AttrModel {
   def target: String = model.target
   def predict(cont: Array[Double], cat: Array[Int], noise: Double): Double =
     model.predict(cont, cat).toDouble
+  def predictColumn: Column = model.predictColumn
 }
 
 /** Shared plumbing of the MICE implementations: mask bookkeeping, mean/mode

@@ -28,7 +28,7 @@ final case class MiceSchema(cont: Seq[String], cat: Seq[String], targets: Seq[St
   def dataCols: Seq[String] = cont ++ cat
 }
 
-/** Knobs shared by all MICE implementations. Every model is trained with the
+/** Knobs of the ring MICE engine ([[MiceEngine]]). Every model is trained with the
   * fixed ridge `LinearRegression.DefaultLambda` (LDA: its fixed shrinkage) and
   * one scaled LU solve.
   *

@@ -2,12 +2,13 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.data.{AirQuality, Missingness}
-import repro.mice.{Imputation, MiceConfig, MiceSchema}
+import repro.data.{AirQuality, Flight, Missingness}
+import repro.mice.{Imputation, MiceBaseline, MiceConfig, MiceSchema, MiceSpec}
+import repro.ring.CofactorSchema
 import scala.util.Random
 
 /** Competitor simulators: mean imputation (oracle-checked), the one-hot +
-  * direct-solve MICE (SystemDS/MADlib/"MICE Python" profile), CART/forest
+  * scalar-SUM MICE (SystemDS/MADlib/"MICE Python" profile), CART/forest
   * building blocks, MissForest-lite, and the autoencoder (GAIN/MIDAS-sim).
   */
 class BaselinesSpec extends SparkSpec {
@@ -41,27 +42,38 @@ class BaselinesSpec extends SparkSpec {
   // ---- MiceDirect (SystemDS / MADlib / MICE Python simulator) --------------
 
   test("MiceDirect imputes every missing value") {
-    val r = MiceDirect.impute(holey, schema, MiceConfig(iterations = 2, stochastic = false))
+    val r = MiceDirect.impute(holey, schema, iterations = 2)
     assert(r.imputed.count() == aq.count())
     assert(schema.targets.forall(t => r.imputed.filter(col(t).isNull).count() == 0))
   }
 
-  test("MiceDirect quality is close to ring MICE (same model family)") {
-    val cfg = MiceConfig(iterations = 2, stochastic = false, seed = 1)
-    val direct = MiceDirect.impute(holey, schema, cfg)
-    val ring = repro.mice.MiceLow.impute(holey, schema, cfg)
-    for (t <- Seq("pm25", "pm10")) {
-      val a = direct.imputed.select(sum(col(t))).head().getDouble(0)
-      val b = ring.imputed.select(sum(col(t))).head().getDouble(0)
-      assert(math.abs(a - b) < 5e-2 * (1 + math.abs(b)), s"$t: direct=$a ring=$b")
+  test("scalar-SUM cofactor equals the ring triple") {
+    // Without o_region 2, whose one-hot column is then all zero.
+    val cof = CofactorSchema(Flight.JoinedCont, Flight.JoinedCat)
+    val (encoded, codes) = MiceDirect.oneHot(Flight.normalized(spark, 3000).joined, cof.cat)
+    val sample = encoded.filter(col("o_region") =!= 2).cache()
+    val (scalar, ring) = (MiceDirect.scalarCofactor(sample, cof, codes), SparkSpec.sumTriple(sample, cof))
+    assert(scalar.approxEquals(ring, 1e-9))
+    assert(scalar.scat.map(_.keySet.toSet).toSeq == ring.scat.map(_.keySet.toSet).toSeq)
+    assert(!scalar.scat(cof.catIdx("o_region")).contains(2))
+    sample.unpersist()
+  }
+
+  test("MiceDirect matches MiceBaseline cell for cell") {
+    val graded = aq.withColumn("grade", (col("aqi") / 40).cast("int"))
+    val mixed = MiceSchema(AirQuality.Columns, Seq("grade"), Seq("pm25", "grade", "o3"))
+    val holeyMixed = Missingness.mcar(graded, mixed.targets, 0.2, seed = 4)
+    for ((df, sch) <- Seq(holey -> schema, holeyMixed -> mixed)) {
+      val ring = MiceBaseline.impute(df, sch, MiceConfig(iterations = 2, stochastic = false))
+      MiceSpec.assertSameCells(ring.imputed, MiceDirect.impute(df, sch, iterations = 2).imputed, "aqi", sch)
     }
   }
 
-  test("MiceDirect handles categorical targets via one-vs-rest scorers") {
+  test("MiceDirect handles categorical targets via LDA") {
     val cat = aq.withColumn("grade", (col("aqi") > 100).cast("int"))
     val sch = MiceSchema(AirQuality.Columns, Seq("grade"), Seq("grade"))
     val holeyCat = Missingness.mcar(cat, Seq("grade"), 0.3, seed = 5)
-    val r = MiceDirect.impute(holeyCat, sch, MiceConfig(iterations = 1, stochastic = false))
+    val r = MiceDirect.impute(holeyCat, sch, iterations = 1)
     assert(r.imputed.filter(col("grade").isNull).count() == 0)
     // Imputations must beat the mode baseline in accuracy.
     val joined = r.imputed.select(col("aqi").as("k"), col("grade").as("imp"))
@@ -73,8 +85,7 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("MiceDirect mask features (MIRACLE-lite) run and impute completely") {
-    val r = MiceDirect.impute(holey, schema, MiceConfig(iterations = 1, stochastic = false),
-      maskFeatures = true)
+    val r = MiceDirect.impute(holey, schema, iterations = 1, maskFeatures = true)
     assert(schema.targets.forall(t => r.imputed.filter(col(t).isNull).count() == 0))
   }
 
@@ -84,7 +95,7 @@ class BaselinesSpec extends SparkSpec {
     val zoned = Missingness.mcar(aq, Seq("pm25"), 0.2, seed = 2)
       .withColumn("zone", when(col("pm25").isNull, 9).otherwise(col("aqi").cast("int") % 3))
     val sch = MiceSchema(AirQuality.Columns, Seq("zone"), Seq("pm25"))
-    val r = MiceDirect.impute(zoned, sch, MiceConfig(iterations = 1, stochastic = false))
+    val r = MiceDirect.impute(zoned, sch, iterations = 1)
     assert(r.imputed.count() == aq.count())
     assert(r.imputed.filter(col("pm25").isNull || isnan(col("pm25"))).count() == 0)
   }
@@ -93,7 +104,7 @@ class BaselinesSpec extends SparkSpec {
     val sch = MiceSchema(AirQuality.Columns, Nil, Seq("pm25"))
     val pm10Holey = Missingness.mcar(Missingness.mcar(aq, Seq("pm10"), 0.1, seed = 5), Seq("pm25"), 0.2, seed = 6)
     for ((name, impute) <- Seq[(String, () => Any)](
-      "MiceDirect" -> (() => MiceDirect.impute(pm10Holey, sch, MiceConfig(iterations = 1, stochastic = false))),
+      "MiceDirect" -> (() => MiceDirect.impute(pm10Holey, sch, iterations = 1)),
       "MissForestLite" -> (() => MissForestLite.impute(pm10Holey, sch, MissForestLite.Config(iterations = 1))),
       "MeanImputer" -> (() => MeanImputer.impute(pm10Holey, sch)))) {
       val e = intercept[IllegalArgumentException](impute())

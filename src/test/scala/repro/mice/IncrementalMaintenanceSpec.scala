@@ -1,6 +1,5 @@
 package repro.mice
 
-import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.{AirQuality, Missingness}
@@ -16,12 +15,6 @@ class IncrementalMaintenanceSpec extends SparkSpec {
   private lazy val base = AirQuality.table(spark, 2000).cache()
   private val schema = MiceSchema(AirQuality.Columns, Nil, Seq("pm25", "pm10", "o3"))
   private val cof = schema.cofactor
-
-  /** Deterministic prediction column of a MICE model. */
-  private def predictColumn(m: AttrModel): Column = m match {
-    case ContAttrModel(r) => r.predictColumn(stochastic = false, seed = 0)
-    case CatAttrModel(c) => c.predictColumn
-  }
 
   test("C − ΔC + ΔC_new tracks the recomputed global cofactor across updates") {
     val holey = Missingness.mcar(base, schema.targets, 0.3, seed = 13)
@@ -40,7 +33,7 @@ class IncrementalMaintenanceSpec extends SparkSpec {
       assert(cTrain.approxEquals(direct, 1e-6), s"iter=$iter target=$t (train cofactor)")
 
       val model = Imputation.train(cTrain, schema, t)
-      cur = Imputation.updateWhereMasked(cur, schema, t, predictColumn(model))
+      cur = Imputation.updateWhereMasked(cur, schema, t, model.predictColumn)
       // ΔC_new over the refreshed rows (Alg 2, l.9-10).
       val deltaNew = Cofactor.triple(cur.filter(mask), cof)
       c = cTrain.plus(deltaNew)
@@ -66,7 +59,7 @@ class IncrementalMaintenanceSpec extends SparkSpec {
       val cTrain = c.copyTriple().minus(delta)
       assert(cTrain.approxEquals(Cofactor.triple(cur.filter(!mask), sch.cofactor), 1e-6), t)
       val model = Imputation.train(cTrain, sch, t)
-      cur = Imputation.updateWhereMasked(cur, sch, t, predictColumn(model))
+      cur = Imputation.updateWhereMasked(cur, sch, t, model.predictColumn)
       c = cTrain.plus(Cofactor.triple(cur.filter(mask), sch.cofactor))
       assert(c.approxEquals(Cofactor.triple(cur, sch.cofactor), 1e-6), t)
     }
