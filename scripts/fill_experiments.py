@@ -5,11 +5,16 @@ Usage: sbt -batch "bench/test" | tee bench.log && python3 scripts/fill_experimen
 
 Each bench suite prints its table under a banner line
 `===== Fig N — ... =====`; this script extracts every markdown table block
-and substitutes the matching `<!-- FIGN -->` placeholder. sbt's `[info] `
-line prefix, if present, is ignored.
+and writes it between the markers `<!-- FIGN -->` and `<!-- /FIGN -->`,
+replacing what was there, so a figure can be refreshed any number of times.
+A bare `<!-- FIGN -->` with no closing marker (a figure never filled) gets
+the closing marker added. sbt's `[info] ` line prefix, if present, is
+ignored. Figures absent from the log keep their current text.
 """
 import re
 import sys
+
+FIGS = ["FIG3", "FIG4", "FIG5", "FIG6", "FIG7", "FIG8"]
 
 if len(sys.argv) != 2:
     sys.exit(__doc__.strip().splitlines()[2])
@@ -25,16 +30,26 @@ for m in re.finditer(r"===== (Fig \d).*?=====\n(.*?)\n\n", bench, re.S):
         line for line in m.group(2).splitlines() if line.startswith("|"))
     blocks[fig] = table
 
-missing = []
-for fig in ["FIG3", "FIG4", "FIG5", "FIG6", "FIG7", "FIG8"]:
-    ph = f"<!-- {fig} -->"
-    if fig in blocks and ph in exp:
-        exp = exp.replace(ph, blocks[fig])
-    elif ph in exp:
-        missing.append(fig)
+filled = []
+for fig in FIGS:
+    if fig not in blocks:
+        continue
+    start, end = f"<!-- {fig} -->", f"<!-- /{fig} -->"
+    marked = f"{start}\n{blocks[fig]}\n{end}"
+    pair = re.compile(re.escape(start) + r"\n.*?" + re.escape(end), re.S)
+    if pair.search(exp):
+        exp = pair.sub(lambda _: marked, exp, count=1)
+    elif start in exp:
+        exp = exp.replace(start, marked, 1)
+    else:
+        continue
+    filled.append(fig)
 
 open("EXPERIMENTS.md", "w", encoding="utf-8").write(exp)
-print("filled:", sorted(set(blocks) - set(missing)))
-if missing:
-    print("MISSING:", missing)
-    sys.exit(1)
+print("filled:", filled)
+unfilled = [fig for fig in FIGS
+            if f"<!-- {fig} -->" in exp and f"<!-- /{fig} -->" not in exp]
+if unfilled:
+    print("still unfilled:", unfilled)
+if not filled:
+    sys.exit("no figure table in the log matches a marker in EXPERIMENTS.md")

@@ -17,13 +17,12 @@ import scala.util.Random
   */
 object AutoencoderImputer {
 
-  final case class Config(
-      hidden: Int = 16,
-      epochs: Int = 30,
-      lr: Double = 0.01,
-      maxSample: Int = 8000,
-      seed: Long = 29,
-  )
+  final case class Config(epochs: Int = 30)
+
+  private val Hidden = 16
+  private val LearningRate = 0.01
+  private val MaxSample = 8000
+  private val Seed = 29L
 
   /** The fitted network + standardization stats. */
   final case class Model(
@@ -32,22 +31,8 @@ object AutoencoderImputer {
       mean: Array[Double], std: Array[Double],
   ) extends Serializable {
 
-    /** Reconstruct the standardized record from (zero-filled values ++ mask). */
-    def forward(input: Array[Double]): Array[Double] = {
-      val h = Array.tabulate(b1.length) { j =>
-        var s = b1(j); var i = 0
-        while (i < input.length) { s += w1(j)(i) * input(i); i += 1 }
-        math.tanh(s)
-      }
-      Array.tabulate(b2.length) { o =>
-        var s = b2(o); var j = 0
-        while (j < h.length) { s += w2(o)(j) * h(j); j += 1 }
-        s
-      }
-    }
-
-    /** Impute one record: returns reconstructed raw values for all attrs. */
-    def impute(values: Array[Double], missing: Array[Boolean]): Array[Double] = {
+    /** The network input: the standardized values, zero where missing, ++ the mask. */
+    def encode(values: Array[Double], missing: Array[Boolean]): Array[Double] = {
       val m = mean.length
       val input = new Array[Double](2 * m)
       var i = 0
@@ -56,8 +41,29 @@ object AutoencoderImputer {
         input(m + i) = if (missing(i)) 1.0 else 0.0
         i += 1
       }
-      val rec = forward(input)
-      Array.tabulate(m)(i => rec(i) * std(i) + mean(i))
+      input
+    }
+
+    /** Hidden-layer activations. */
+    def hidden(input: Array[Double]): Array[Double] =
+      Array.tabulate(b1.length) { j =>
+        var s = b1(j); var i = 0
+        while (i < input.length) { s += w1(j)(i) * input(i); i += 1 }
+        math.tanh(s)
+      }
+
+    /** The reconstructed standardized record. */
+    def output(h: Array[Double]): Array[Double] =
+      Array.tabulate(b2.length) { o =>
+        var s = b2(o); var j = 0
+        while (j < h.length) { s += w2(o)(j) * h(j); j += 1 }
+        s
+      }
+
+    /** Impute one record: returns reconstructed raw values for all attrs. */
+    def impute(values: Array[Double], missing: Array[Boolean]): Array[Double] = {
+      val rec = output(hidden(encode(values, missing)))
+      Array.tabulate(mean.length)(i => rec(i) * std(i) + mean(i))
     }
   }
 
@@ -71,44 +77,34 @@ object AutoencoderImputer {
       val v = if (obs.nonEmpty) obs.map(x => (x - mean(i)) * (x - mean(i))).sum / obs.size else 1.0
       std(i) = math.max(math.sqrt(v), 1e-6)
     }
-    val rng = new Random(cfg.seed)
-    val h = cfg.hidden
+    val rng = new Random(Seed)
+    val h = Hidden
     def init(rowsN: Int, colsN: Int): Array[Array[Double]] =
       Array.fill(rowsN, colsN)((rng.nextDouble() - 0.5) * 2.0 / math.sqrt(colsN))
     val w1 = init(h, 2 * m); val b1 = new Array[Double](h)
     val w2 = init(m, h); val b2 = new Array[Double](m)
+    // SGD updates the model's arrays in place.
+    val model = Model(w1, b1, w2, b2, mean, std)
 
     for (_ <- 0 until cfg.epochs; r <- rng.shuffle(rows.indices.toList)) {
-      val input = new Array[Double](2 * m)
-      for (i <- 0 until m) {
-        input(i) = if (masks(r)(i)) 0.0 else (rows(r)(i) - mean(i)) / std(i)
-        input(m + i) = if (masks(r)(i)) 1.0 else 0.0
-      }
-      // Forward.
-      val hPre = Array.tabulate(h) { j =>
-        var s = b1(j); var i = 0
-        while (i < 2 * m) { s += w1(j)(i) * input(i); i += 1 }; s
-      }
-      val hAct = hPre.map(math.tanh)
-      val out = Array.tabulate(m) { o =>
-        var s = b2(o); var j = 0
-        while (j < h) { s += w2(o)(j) * hAct(j); j += 1 }; s
-      }
-      // Backward on observed entries only.
+      val input = model.encode(rows(r), masks(r))
+      val hAct = model.hidden(input)
+      val out = model.output(hAct)
+      // Backward on observed entries only, whose standardized values are the input.
       val dOut = Array.tabulate(m) { o =>
-        if (masks(r)(o)) 0.0 else 2.0 * (out(o) - (rows(r)(o) - mean(o)) / std(o)) / m
+        if (masks(r)(o)) 0.0 else 2.0 * (out(o) - input(o)) / m
       }
       val dH = Array.tabulate(h) { j =>
         var s = 0.0; var o = 0
         while (o < m) { s += dOut(o) * w2(o)(j); o += 1 }
         s * (1.0 - hAct(j) * hAct(j))
       }
-      for (o <- 0 until m; j <- 0 until h) w2(o)(j) -= cfg.lr * dOut(o) * hAct(j)
-      for (o <- 0 until m) b2(o) -= cfg.lr * dOut(o)
-      for (j <- 0 until h; i <- 0 until 2 * m) w1(j)(i) -= cfg.lr * dH(j) * input(i)
-      for (j <- 0 until h) b1(j) -= cfg.lr * dH(j)
+      for (o <- 0 until m; j <- 0 until h) w2(o)(j) -= LearningRate * dOut(o) * hAct(j)
+      for (o <- 0 until m) b2(o) -= LearningRate * dOut(o)
+      for (j <- 0 until h; i <- 0 until 2 * m) w1(j)(i) -= LearningRate * dH(j) * input(i)
+      for (j <- 0 until h) b1(j) -= LearningRate * dH(j)
     }
-    Model(w1, b1, w2, b2, mean, std)
+    model
   }
 
   /** Impute a dataset one-shot. Continuous targets take the reconstruction;
@@ -119,8 +115,8 @@ object AutoencoderImputer {
     val attrs = schema.cofactor.cont ++ schema.cofactor.cat
     val (model, prepSecs) = Timing.timed {
       val n = df0.count().toDouble
-      val frac = math.min(1.0, cfg.maxSample / math.max(n, 1.0))
-      val sampled = df0.sample(withReplacement = false, frac, cfg.seed)
+      val frac = math.min(1.0, MaxSample / math.max(n, 1.0))
+      val sampled = df0.sample(withReplacement = false, frac, Seed)
         .select(attrs.map(c => col(c).cast("double")): _*).collect()
       val rows = sampled.map(r => Array.tabulate(attrs.length)(i => if (r.isNullAt(i)) 0.0 else r.getDouble(i)))
       val masks = sampled.map(r => Array.tabulate(attrs.length)(r.isNullAt))
@@ -134,8 +130,7 @@ object AutoencoderImputer {
       val catCodes = attrs.map(a => codes.getOrElse(a, Array.empty[Int])).toArray
       val isCat = attrs.map(a => !schema.cofactor.cont.contains(a)).toArray
       val rec = udf((values: Seq[Double], miss: Seq[Boolean]) => {
-        val vals = Array.tabulate(attrs.length)(i => if (miss(i)) 0.0 else values(i))
-        val imputed = model.impute(vals, miss.toArray)
+        val imputed = model.impute(values.toArray, miss.toArray)
         imputed.indices.map { i =>
           if (isCat(i) && catCodes(i).nonEmpty)
             catCodes(i).minBy(c => math.abs(c - imputed(i))).toDouble

@@ -20,8 +20,8 @@ object Methods {
   }
 
   /** Our MICE (ring + shared computation, Low variant) — "MICE DuckDB" slot. */
-  def miceRing(iterations: Int = 3, seed: Long = 42): Imputer = (df, schema) =>
-    timeResult(MiceLow.impute(df, schema, MiceConfig(iterations = iterations, seed = seed)))
+  def miceRing(iterations: Int = 3): Imputer = (df, schema) =>
+    timeResult(MiceLow.impute(df, schema, MiceConfig(iterations = iterations, seed = 42)))
 
   /** One-hot + scalar-SUM chained equations — the "MICE Python" slot. */
   def miceDirect(iterations: Int = 3): Imputer = (df, schema) =>
@@ -34,15 +34,13 @@ object Methods {
   }
 
   /** Iterative random-forest imputer — the "MissForest" slot. */
-  def missForest(iterations: Int = 2): Imputer = (df, schema) =>
-    timeResult(MissForestLite.impute(df, schema, MissForestLite.Config(
-      iterations = iterations,
-      forest = repro.baselines.RandomForest.ForestConfig(numTrees = 3),
-      maxSample = 6000)))
+  def missForest: Imputer = (df, schema) =>
+    timeResult(MissForestLite.impute(df, schema,
+      MissForestLite.Config(iterations = 2, numTrees = 3, maxSample = 6000)))
 
   /** Denoising-autoencoder one-shot imputer — the "GAIN" / "MIDASpy" slot. */
-  def gainSim(epochs: Int = 20): Imputer = (df, schema) =>
-    timeResult(AutoencoderImputer.impute(df, schema, AutoencoderImputer.Config(epochs = epochs)))
+  def gainSim: Imputer = (df, schema) =>
+    timeResult(AutoencoderImputer.impute(df, schema, AutoencoderImputer.Config(epochs = 20)))
 
   /** Mask-feature-augmented scalar-SUM MICE — the "MIRACLE" quality slot. */
   def miracleLite(iterations: Int = 3): Imputer = (df, schema) =>
@@ -53,8 +51,8 @@ object Methods {
     "MICE ring (ours)" -> miceRing(iterations),
     "MICE direct (Python-sim)" -> miceDirect(iterations),
     "Mean" -> mean,
-    "MissForest-lite" -> missForest(),
-    "GAIN-sim (autoenc)" -> gainSim(),
+    "MissForest-lite" -> missForest,
+    "GAIN-sim (autoenc)" -> gainSim,
     "MIRACLE-lite" -> miracleLite(iterations),
   )
 }

@@ -91,8 +91,8 @@ object LDA {
         val sum =
           if (colIdx <= k) t.qcc(jT * k + (colIdx - 1)).getOrElse(cls, 0.0) // continuous feature
           else { // one-hot feature: SUM(1) GROUP BY (featAttr, target)
-            val j = up.catOffsets.lastIndexWhere(_ <= colIdx)
-            t.pairCount(j, up.dicts(j)(colIdx - up.catOffsets(j)), jT, cls)
+            val (j, code) = up.catOf(colIdx)
+            t.pairCount(j, code, jT, cls)
           }
         mu(ci)(f) = if (nC(ci) > 0) sum / nC(ci) else 0.0
         f += 1
@@ -134,8 +134,7 @@ object LDA {
         val colIdx = featCols(f)
         if (colIdx <= k) aCont(ci)(colIdx - 1) = aRows(ci)(f)
         else {
-          val j = up.catOffsets.lastIndexWhere(_ <= colIdx)
-          val code = up.dicts(j)(colIdx - up.catOffsets(j))
+          val (j, code) = up.catOf(colIdx)
           aCat(ci)(j) = aCat(ci)(j) + (code -> aRows(ci)(f))
         }
         f += 1

@@ -86,8 +86,8 @@ object LinearRegression {
       if (colIdx == 0) intercept = theta(fi)
       else if (colIdx <= schema.k) wCont(colIdx - 1) = theta(fi)
       else {
-        val j = up.catOffsets.lastIndexWhere(_ <= colIdx)
-        wCat(j) += (up.dicts(j)(colIdx - up.catOffsets(j)) -> theta(fi))
+        val (j, code) = up.catOf(colIdx)
+        wCat(j) += (code -> theta(fi))
       }
       fi += 1
     }

@@ -42,6 +42,14 @@ final class Unpacked(val schema: CofactorSchema, val triple: Triple) {
     if (p < 0) -1 else catOffsets(j) + p
   }
 
+  /** The (categorical attribute, code) of one-hot dense column `c`: the
+    * inverse of `catCol`.
+    */
+  def catOf(c: Int): (Int, Int) = {
+    val j = catOffsets.lastIndexWhere(_ <= c)
+    (j, dicts(j)(c - catOffsets(j)))
+  }
+
   /** The full symmetric cofactor matrix (built once, lazily). */
   lazy val matrix: Array[Array[Double]] = {
     val k = schema.k; val l = schema.l

@@ -8,8 +8,9 @@ import repro.ring.CofactorSchema
 import scala.util.Random
 
 /** Competitor simulators: mean imputation (oracle-checked), the one-hot +
-  * scalar-SUM MICE (SystemDS/MADlib/"MICE Python" profile), CART/forest
-  * building blocks, MissForest-lite, and the autoencoder (GAIN/MIDAS-sim).
+  * scalar-SUM MICE (SystemDS/MADlib/"MICE Python" profile), MissForest-lite
+  * on MLlib random forests (regression and classification targets), and the
+  * autoencoder (GAIN/MIDAS-sim).
   */
 class BaselinesSpec extends SparkSpec {
 
@@ -112,53 +113,6 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  // ---- trees and forests ---------------------------------------------------
-
-  private def treeData(n: Int): (Array[Array[Double]], Array[Double]) = {
-    val rng = new Random(3)
-    val xs = Array.fill(n)(Array(rng.nextDouble() * 10, rng.nextDouble() * 10))
-    val y = xs.map(x => if (x(0) > 5) 3.0 + x(1) * 0.1 else -2.0 + rng.nextGaussian() * 0.1)
-    (xs, y)
-  }
-
-  test("regression tree learns a step function") {
-    val (xs, y) = treeData(2000)
-    val tree = DecisionTree.fitRegression(xs, y)
-    val loPred = tree.predict(Array(2.0, 5.0))
-    val hiPred = tree.predict(Array(8.0, 5.0))
-    assert(loPred < 0 && hiPred > 3.0, s"lo=$loPred hi=$hiPred")
-  }
-
-  test("classification tree separates labelled regions") {
-    val rng = new Random(5)
-    val xs = Array.fill(2000)(Array(rng.nextDouble() * 10, rng.nextDouble() * 10))
-    val y = xs.map(x => if (x(0) + x(1) > 10) 1.0 else 0.0)
-    val tree = DecisionTree.fitClassification(xs, y)
-    val acc = xs.zip(y).count { case (x, t) => tree.predict(x) == t }.toDouble / xs.length
-    assert(acc > 0.9, s"acc=$acc")
-  }
-
-  test("tree respects maxDepth = 0 by returning a leaf") {
-    val (xs, y) = treeData(100)
-    val tree = DecisionTree.fitRegression(xs, y, DecisionTree.TreeConfig(maxDepth = 0))
-    assert(tree.isInstanceOf[DecisionTree.Leaf])
-  }
-
-  test("random forest improves over a stump on noisy data") {
-    val (xs, y) = treeData(3000)
-    val forest = RandomForest.fit(xs, y, classification = false)
-    val stump = DecisionTree.fitRegression(xs, y, DecisionTree.TreeConfig(maxDepth = 1))
-    def mse(p: Array[Double] => Double): Double =
-      xs.zip(y).map { case (x, t) => val d = p(x) - t; d * d }.sum / xs.length
-    assert(mse(forest.predict) < mse(stump.predict), "forest should beat a stump")
-  }
-
-  test("classification forest takes a majority vote") {
-    import DecisionTree.Leaf
-    val f = ForestModel(Array(Leaf(1.0), Leaf(1.0), Leaf(0.0)), classification = true)
-    assert(f.predict(Array(0.0)) == 1.0)
-  }
-
   // ---- MissForest-lite -----------------------------------------------------
 
   test("MissForestLite imputes everything and beats mean imputation") {
@@ -173,6 +127,26 @@ class BaselinesSpec extends SparkSpec {
     }
     val meanOut = MeanImputer.impute(Imputation.addMasks(holey, schema), schema)
     assert(errMissing(r.imputed) < errMissing(meanOut) * 0.9)
+  }
+
+  test("MissForestLite imputes a categorical target with codes observed in its column") {
+    val flight = Flight.normalized(spark, 3000).joined.cache()
+    val sch = MiceSchema(Flight.JoinedCont, Flight.JoinedCat, Seq("diverted"))
+    val holeyCat = Missingness.mcar(flight, sch.targets, 0.2, seed = 8).cache()
+    val r = MissForestLite.impute(holeyCat, sch, MissForestLite.Config(iterations = 1))
+    assert(r.imputed.filter(col("diverted").isNull).count() == 0)
+    val observed = holeyCat.filter(col("diverted").isNotNull).select("diverted").distinct()
+      .collect().map(_.getInt(0)).toSet
+    // The output keeps only the schema's attributes; two complete continuous
+    // ones identify a row.
+    val key = Seq("airtime", "elapsed")
+    val cells = r.imputed.select((key :+ "diverted").map(col): _*)
+      .join(holeyCat.select(key.map(col) :+ col("diverted").as("obs"): _*), key)
+    assert(cells.count() == flight.count())
+    val codes = cells.filter(col("obs").isNull).select("diverted").distinct().collect().map(_.getInt(0)).toSet
+    assert(codes.nonEmpty && codes.subsetOf(observed), s"imputed codes $codes, observed $observed")
+    assert(cells.filter(col("obs").isNotNull && col("obs") =!= col("diverted")).count() == 0)
+    Seq(holeyCat, flight).foreach(_.unpersist())
   }
 
   // ---- autoencoder (GAIN/MIDAS stand-in) -----------------------------------

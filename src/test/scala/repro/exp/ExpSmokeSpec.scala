@@ -62,10 +62,7 @@ class ExpSmokeSpec extends SparkSpec {
     assert(text.linesIterator.size == rows.size + 2)
   }
 
-  // `Inputs.cached` replaced `Methods.clearCaches`; the property this test
-  // has always checked is the same: an output stays countable once the
-  // inputs it was computed from are unpersisted.
-  test("a MiceLow output can still be counted after clearCaches") {
+  test("a MiceLow output can be counted after Inputs.cached unpersists its inputs") {
     val schema = MiceSchema(AirQuality.Columns, Nil, Seq("pm25", "o3"))
     val holey = Missingness.mcar(AirQuality.table(spark, 1000), schema.targets, 0.2, seed = 3)
     val out = Inputs.cached(holey) { _ =>

@@ -44,6 +44,15 @@ class UnpackedSpec extends AnyFunSuite {
     assert(up.catCol(0, 9) == -1 && up.catCol(0, 7) >= 0)
   }
 
+  test("catOf inverts catCol over every one-hot column") {
+    val t = Triple.zero(1, 2)
+    Seq((1.0, 4, 0), (2.0, 2, 7), (3.0, 9, 7)).foreach { case (x, a, b) => t.addRow(Array(x), Array(a, b)) }
+    val up = new Unpacked(CofactorSchema(Seq("x"), Seq("a", "b")), t)
+    val cols = for (j <- 0 until 2; code <- up.dicts(j)) yield up.catCol(j, code) -> (j, code)
+    assert(cols.map(_._1) == (2 until up.dim))
+    for ((c, jc) <- cols) assert(up.catOf(c) == jc)
+  }
+
   test("cross-categorical block carries the pair counts") {
     val sch2 = CofactorSchema(Nil, Seq("a", "b"))
     val t = Triple.zero(0, 2)
