@@ -47,17 +47,25 @@ class LearningBench extends SparkSpec with BenchScale {
 class SingleTableMiceBench extends SparkSpec with BenchScale {
   test("Fig 4: one MICE round over 7 incomplete attributes") {
     val rates = Seq(0.05, 0.1, 0.2, 0.4, 0.6, 0.8)
-    val all = Seq("flight", "retailer").flatMap(ds => SingleTableExp.run(spark, ds, rows(800000), rates))
+    val all = Seq("flight", "retailer").flatMap(ds => CostExp.singleTable(spark, ds, rows(800000), rates))
     banner("Fig 4 — single-table imputation (per-round + preprocessing seconds)",
-      SingleTableExp.format(all))
+      CostExp.format(all))
     assert(all.size == 2 * rates.size * 5)
-    // Our ring implementations must beat the SystemDS simulator per round.
-    for (ds <- Seq("flight", "retailer"); rate <- rates) {
-      val ours = all.find(r => r.dataset == ds && r.rate == rate && r.method.startsWith("ours baseline")).get
-      val sysds = all.find(r => r.dataset == ds && r.rate == rate && r.method.startsWith("SystemDS")).get
-      assert(ours.roundSecs < sysds.roundSecs,
-        s"$ds@$rate: ours ${ours.roundSecs}s vs SystemDS-sim ${sysds.roundSecs}s")
+    // Per-round shape gates (§6.2): Baseline beats the SystemDS simulator at
+    // every rate, Low beats Baseline at 5–20% and High beats Baseline at
+    // 40–80%. Every cell is checked before the test fails.
+    val gates = for {
+      ds <- Seq("flight", "retailer")
+      rate <- rates
+      (faster, slower) <- Seq("ours baseline" -> "SystemDS") ++
+        (if (rate <= 0.2) Seq("ours low" -> "ours baseline") else Seq("ours high" -> "ours baseline"))
+    } yield {
+      def round(method: String): Double =
+        all.find(r => r.dataset == ds && r.rate == rate && r.method.startsWith(method)).get.roundSecs
+      (round(faster) < round(slower), f"$ds@$rate: $faster ${round(faster)}%.3fs vs $slower ${round(slower)}%.3fs")
     }
+    val failing = gates.collect { case (false, cell) => cell }
+    if (failing.nonEmpty) fail(failing.mkString(s"${failing.size} of ${gates.size} per-round gates fail:\n", "\n", ""))
   }
 }
 
@@ -80,15 +88,15 @@ class AttrScalingBench extends SparkSpec with BenchScale {
 class NormalizedMiceBench extends SparkSpec with BenchScale {
   test("Fig 6: MICE over normalized data") {
     val rates = Seq(0.05, 0.2, 0.4)
-    val all = Seq("retailer", "flight").flatMap(ds => NormalizedExp.run(spark, ds, rows(300000), rates))
-    banner("Fig 6 — imputation over normalized data", NormalizedExp.format(all))
+    val all = Seq("retailer", "flight").flatMap(ds => CostExp.normalized(spark, ds, rows(300000), rates))
+    banner("Fig 6 — imputation over normalized data", CostExp.format(all))
     assert(all.size == 2 * rates.size * 2)
     assert(all.forall(_.roundSecs > 0))
     // Fig 6 on Retailer: factorized preprocessing plus one round beats the
     // materialized join at every rate.
     for (rate <- rates) {
-      def cost(approach: String): Double = {
-        val r = all.find(r => r.dataset == "retailer" && r.rate == rate && r.approach == approach).get
+      def cost(method: String): Double = {
+        val r = all.find(r => r.dataset == "retailer" && r.rate == rate && r.method == method).get
         r.preprocessSecs + r.roundSecs
       }
       assert(cost("factorized") < cost("materialized join"),

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.data.Missingness
-import repro.mice.{MiceConfig, MiceLow}
+import repro.mice.MiceLow
 
 /** Fig 5 — runtime of the Low implementation vs the number of incomplete
   * attributes (1…6) at 5% and 20% missing, with the per-phase breakdown:
@@ -22,7 +22,7 @@ object AttrScalingExp {
         val schema = in.schema.copy(targets = in.schema.targets.take(n))
         val holey = Missingness.mcar(in.table, schema.targets, rate, seed = 41)
         Inputs.cached(holey) { _ =>
-          val r = MiceLow.impute(holey, schema, MiceConfig(iterations = 1, stochastic = true, seed = 7))
+          val r = MiceLow.impute(holey, schema, CostExp.OneRound)
           r.imputed.count()
           Row(rate, n,
             r.breakdown.getOrElse("init_cofactor", 0.0),

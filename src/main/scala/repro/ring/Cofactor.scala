@@ -67,7 +67,8 @@ object Cofactor {
   /** One-pass cofactor triple of `df` under `schema` (SELECT SUM_TRIPLE(…)
     * FROM df): a single table is a join with no dimensions, so this is the
     * one shuffle-free Spark job of [[Factorized.Plan.cofactor]]. The
-    * attributes must hold no null (MICE aggregates the imputed dataset X̃).
+    * attributes must hold no null (MICE aggregates the imputed dataset X̃);
+    * a null fails with an `IllegalArgumentException` naming the attribute.
     */
   def triple(df: DataFrame, schema: CofactorSchema): Triple =
     Factorized.plan(df.sparkSession, schema, Nil).cofactor(df)

@@ -1,6 +1,7 @@
 package repro.ring
 
 import scala.collection.mutable
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType}
@@ -98,9 +99,12 @@ object Factorized {
 
   /** Evaluate `steps` over one partition of fact rows (fact continuous,
     * fact categorical, then key columns); at most one triple comes out.
+    * Fails, naming the attribute, on a null in a fact attribute of a row that
+    * joins.
     */
-  private def evaluate(rows: Iterator[Row], kf: Int, lf: Int, nKeys: Int,
+  private def evaluate(rows: Iterator[Row], fact: CofactorSchema, nKeys: Int,
                        dims: Array[DimRows], steps: Array[Step]): Iterator[Triple] = {
+    val (kf, lf) = (fact.k, fact.l)
     val s0 = steps.head.dims
     val k0 = kf + s0.map(dims(_).k).sum
     val l0 = lf + s0.map(dims(_).l).sum
@@ -124,11 +128,15 @@ object Factorized {
       true
     }
 
+    def nullAt(i: Int): Nothing = throw new IllegalArgumentException(
+      s"fact: attribute ${if (i < kf) fact.cont(i) else fact.cat(i - kf)} has a null value; " +
+        "fact attributes must be complete")
+
     for (r <- rows if joins(r)) {
       var i = 0
-      while (i < kf) { cont(i) = r.getDouble(i); i += 1 }
+      while (i < kf) { if (r.isNullAt(i)) nullAt(i); cont(i) = r.getDouble(i); i += 1 }
       i = 0
-      while (i < lf) { cat(i) = r.getInt(kf + i); i += 1 }
+      while (i < lf) { if (r.isNullAt(kf + i)) nullAt(kf + i); cat(i) = r.getInt(kf + i); i += 1 }
       var c = kf
       var d = lf
       i = 0
@@ -183,6 +191,8 @@ object Factorized {
     val combined: CofactorSchema = dims.map(_.schema).foldLeft(factSchema)(_ ++ _)
 
     /** Factorized cofactor triple of a fact-side subset, in one Spark job.
+      * Fails with an `IllegalArgumentException` naming the attribute when a
+      * fact attribute of a joining row holds a null.
       *
       * @param hierarchical follow the staged evaluation order (wide dims
       *        multiply once per key group). With `false` every dimension
@@ -202,10 +212,11 @@ object Factorized {
           stage.nextKeys.map(allKeys.indexOf).toArray, keyLo, keySpan))
       }.toArray
       requireIntegralKeys("fact", factPart, allKeys)
-      val (kf, lf, nKeys, bc) = (factSchema.k, factSchema.l, allKeys.size, rows)
-      val parts = factPart.select(factSchema.cont.map(col(_).cast("double")) ++
+      val (fs, nKeys, bc) = (factSchema, allKeys.size, rows)
+      val parts = try factPart.select(factSchema.cont.map(col(_).cast("double")) ++
           factSchema.cat.map(col(_).cast("int")) ++ allKeys.map(col(_).cast("long")): _*)
-        .rdd.mapPartitions(it => evaluate(it, kf, lf, nKeys, bc.value, steps)).collect()
+        .rdd.mapPartitions(it => evaluate(it, fs, nKeys, bc.value, steps)).collect()
+      catch { case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] => throw e.getCause }
       parts.foldLeft(Triple.zero(combined.k, combined.l))(_.plus(_))
     }
 

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{AirQuality, Flight, Missingness}
-import repro.mice.{Imputation, MiceBaseline, MiceConfig, MiceSchema, MiceSpec}
+import repro.mice.{MiceBaseline, MiceConfig, MiceSchema, MiceSpec}
 import repro.ring.CofactorSchema
 import scala.util.Random
 
@@ -22,7 +22,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("mean imputation fills every null with the column mean (oracle-checked)") {
     import spark.implicits._
-    val out = MeanImputer.impute(Imputation.addMasks(holey, schema), schema)
+    val out = MeanImputer.impute(holey, schema).imputed
     assert(schema.targets.forall(t => out.filter(col(t).isNull).count() == 0))
     val sparkSide = Seq((
       round4(out.select(avg("pm25")).head().getDouble(0)),
@@ -34,7 +34,7 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("mean imputation shrinks the column variance (the §1 pathology)") {
-    val out = MeanImputer.impute(Imputation.addMasks(holey, schema), schema)
+    val out = MeanImputer.impute(holey, schema).imputed
     val vOut = out.select(var_pop("pm25")).head().getDouble(0)
     val vOrig = aq.select(var_pop("pm25")).head().getDouble(0)
     assert(vOut < vOrig * 0.95, s"imputed var=$vOut original=$vOrig")
@@ -125,7 +125,7 @@ class BaselinesSpec extends SparkSpec {
         .filter(col("obs").isNull)
       math.sqrt(j.select(avg(pow(col("imp") - col("tru"), 2))).head().getDouble(0))
     }
-    val meanOut = MeanImputer.impute(Imputation.addMasks(holey, schema), schema)
+    val meanOut = MeanImputer.impute(holey, schema).imputed
     assert(errMissing(r.imputed) < errMissing(meanOut) * 0.9)
   }
 

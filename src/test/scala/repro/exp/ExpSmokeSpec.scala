@@ -21,8 +21,8 @@ class ExpSmokeSpec extends SparkSpec {
     assert(rows.size == 6)
   }
 
-  test("SingleTableExp produces one row per (rate, method)") {
-    val rows = SingleTableExp.run(spark, "flight", 4000, Seq(0.1, 0.5))
+  test("CostExp.singleTable produces one row per (rate, method)") {
+    val rows = CostExp.singleTable(spark, "flight", 4000, Seq(0.1, 0.5))
     assert(rows.size == 10)
     assert(rows.forall(r => r.roundSecs > 0 && r.preprocessSecs > 0))
   }
@@ -33,19 +33,21 @@ class ExpSmokeSpec extends SparkSpec {
     assert(rows.forall(r => r.initCofactorSecs > 0 && r.roundSecs > 0))
   }
 
-  test("NormalizedExp compares materialized and factorized on retailer") {
-    val rows = NormalizedExp.run(spark, "retailer", 4000, Seq(0.2))
-    assert(rows.map(_.approach).sorted == Seq("factorized", "materialized join"))
+  test("CostExp.normalized compares materialized and factorized on retailer") {
+    val rows = CostExp.normalized(spark, "retailer", 4000, Seq(0.2))
+    assert(rows.map(_.method).sorted == Seq("factorized", "materialized join"))
   }
 
-  test("NormalizedExp runs on flight with 7 incomplete attributes") {
-    val rows = NormalizedExp.run(spark, "flight", 4000, Seq(0.2))
+  test("CostExp.normalized runs on flight with 7 incomplete attributes") {
+    val rows = CostExp.normalized(spark, "flight", 4000, Seq(0.2))
     assert(rows.size == 2 && rows.forall(_.roundSecs > 0))
   }
 
   test("QualityExp runs the full §6.4 line-up on air quality") {
     val cells = QualityExp.run(spark, "airquality", 4000, Seq("mcar"), Seq(0.06), iterations = 1)
     assert(cells.size == 6)
+    assert(cells.map(_.method) == Seq("MICE ring (ours)", "MICE direct (Python-sim)", "Mean", "MissForest-lite",
+      "GAIN-sim (autoenc)", "MIRACLE-lite"))
     assert(cells.forall(c => c.rmse > 0 && c.imputeSecs > 0))
   }
 
@@ -57,8 +59,8 @@ class ExpSmokeSpec extends SparkSpec {
   }
 
   test("formatters emit one markdown row per result") {
-    val rows = SingleTableExp.run(spark, "flight", 4000, Seq(0.3))
-    val text = SingleTableExp.format(rows)
+    val rows = CostExp.singleTable(spark, "flight", 4000, Seq(0.3))
+    val text = CostExp.format(rows)
     assert(text.linesIterator.size == rows.size + 2)
   }
 

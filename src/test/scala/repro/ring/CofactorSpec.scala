@@ -164,5 +164,16 @@ class CofactorSpec extends SparkSpec {
     li.unpersist()
   }
 
+  test("a null in a continuous or categorical attribute fails, naming the attribute") {
+    val rows = (1 to 100).map(i => Row(if (i == 40) null else i.toDouble, if (i == 70) null else i % 3))
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2),
+      StructType(Seq(StructField("y", DoubleType), StructField("c", IntegerType))))
+    for ((c, other) <- Seq("y" -> "c", "c" -> "y")) {
+      val holed = df.filter(col(other).isNotNull)
+      val e = intercept[IllegalArgumentException](Cofactor.triple(holed, CofactorSchema(Seq("y"), Seq("c"))))
+      assert(e.getMessage.contains(s"attribute $c has a null value"), e.getMessage)
+    }
+  }
+
   private def round6(v: Double): Double = math.rint(v * 1e6) / 1e6
 }

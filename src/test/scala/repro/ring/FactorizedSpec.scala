@@ -86,6 +86,15 @@ class FactorizedSpec extends SparkSpec {
     assert(flat == 1, s"Cofactor.triple: $flat jobs")
   }
 
+  test("plan cofactor rejects a null in a fact attribute, naming the column") {
+    val plan = Factorized.plan(spark, factSchema, dims, flightHier)
+    for (c <- Seq("airtime", "diverted")) {
+      val holed = flights.withColumn(c, when(col("carrier_id") === 1, null).otherwise(col(c)))
+      val e = intercept[IllegalArgumentException](plan.cofactor(holed))
+      assert(e.getMessage.contains(s"attribute $c has a null value"), e.getMessage)
+    }
+  }
+
   test("factorized cofactor equals the triple over the materialized join") {
     val plan = Factorized.plan(spark, factSchema, dims)
     val fact = plan.cofactor(flights)
